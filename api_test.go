@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,6 +142,78 @@ func TestServeWithStoreWarmRestart(t *testing.T) {
 	}
 	if got := reg2.Counter(transport.MetricStoreBytesSaved).Value(); got != int64(len(src)) {
 		t.Fatalf("restart bytes saved = %d, want %d", got, len(src))
+	}
+}
+
+// TestDialMultiAddress: a comma-separated Dial is a static-routed farm.
+// One batch is split across both servers; once one server is closed, the
+// next batches still verify, its shards requeued onto the survivor.
+func TestDialMultiAddress(t *testing.T) {
+	src := `input x : int32; output y : int32; y = x - 3;`
+	var addrs []string
+	var regs []*obs.Registry
+	var stops []func()
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- Serve(ctx, ln, WithServerWorkers(1), WithServerMetrics(reg)) }()
+		var once sync.Once
+		stop := func() {
+			once.Do(func() {
+				cancel()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Error("Serve did not return after cancel")
+				}
+			})
+		}
+		t.Cleanup(stop)
+		addrs, regs, stops = append(addrs, ln.Addr().String()), append(regs, reg), append(stops, stop)
+	}
+	creg := obs.NewRegistry()
+	client, err := Dial(context.Background(), strings.Join(addrs, ","), src,
+		WithParams(2, 2), WithoutCommitment(), WithSeed([]byte("multi")), WithMetrics(creg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	run := func() {
+		t.Helper()
+		batch := make([][]*big.Int, 8)
+		for i := range batch {
+			batch[i] = []*big.Int{big.NewInt(int64(i))}
+		}
+		res, err := client.RunBatch(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AllAccepted() {
+			t.Fatalf("rejected: %v", res.Reasons)
+		}
+		for i := range batch {
+			if got := res.Outputs[i][0].Int64(); got != int64(i)-3 {
+				t.Fatalf("instance %d output %d", i, got)
+			}
+		}
+	}
+	run()
+	for i, reg := range regs {
+		if got := reg.Counter(transport.MetricServedBatches).Value(); got < 1 {
+			t.Fatalf("server %d served %d shards, want ≥ 1", i, got)
+		}
+	}
+	stops[1]()
+	for b := 0; b < 3 && creg.Counter("farm.shard.requeued").Value() == 0; b++ {
+		run()
+	}
+	if got := creg.Counter("farm.shard.requeued").Value(); got < 1 {
+		t.Fatalf("farm.shard.requeued = %d after closing a server, want ≥ 1", got)
 	}
 }
 

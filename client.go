@@ -51,8 +51,8 @@ type Client struct {
 	sess sessionRunner
 }
 
-// dialSession dials every addr and opens one (possibly multi-leg) session
-// for src — the shared machinery behind Dial and DialFarm.
+// dialSession dials every addr and opens one session for src, with one
+// leg per address — the shared machinery behind Dial and DialFarm.
 func dialSession(ctx context.Context, addrs []string, src string, o options) (*transport.Session, error) {
 	// Build the backend offer, most preferred first. BackendAuto needs the
 	// compiled program for the cost model, so it compiles here and hands
@@ -131,13 +131,14 @@ func dialSession(ctx context.Context, addrs []string, src string, o options) (*t
 	return sess, nil
 }
 
-// Dial connects to a prover server (or several: addr may be a
-// comma-separated list, in which case every batch is split across the
-// provers — the paper's distributed prover, §5.1) and opens a session for
-// src. The protocol parameters come from opts; WithField220 must match how
-// the embedded source expects to be compiled, and server and client compile
-// the same source independently. To shard batches across workers with
-// failure recovery instead, see DialFarm.
+// Dial connects to a prover server and opens a session for src. The
+// protocol parameters come from opts; WithField220 must match how the
+// embedded source expects to be compiled, and server and client compile
+// the same source independently. addr may also be a comma-separated list
+// of servers: the Client is then a farm (see DialFarm) with FarmStatic
+// routing and the default shard size, so every batch is split across the
+// provers — the paper's distributed prover, §5.1 — and a prover that dies
+// mid-batch has its share requeued onto the others.
 func Dial(ctx context.Context, addr, src string, opts ...RunOption) (*Client, error) {
 	o := buildRunOptions(opts)
 	var addrs []string
@@ -148,6 +149,10 @@ func Dial(ctx context.Context, addr, src string, opts ...RunOption) (*Client, er
 	}
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("zaatar: no prover address in %q", addr)
+	}
+	if len(addrs) > 1 {
+		o.farmRouting, o.shardSize = FarmStatic, 0
+		return dialFarm(ctx, addrs, src, o)
 	}
 	sess, err := dialSession(ctx, addrs, src, o)
 	if err != nil {
@@ -167,10 +172,10 @@ func (c *Client) RunBatch(ctx context.Context, batch [][]*big.Int) (*SessionResu
 // io shape inspection).
 func (c *Client) Program() *Program { return c.sess.Program() }
 
-// WireVersion reports the negotiated wire protocol version (the minimum
-// across prover connections): 3 for hash-first sessions, 2 for keep-alive
-// peers that predate the artifact exchange, 1 when any peer only speaks
-// the legacy one-batch dialect.
+// WireVersion reports the negotiated wire protocol version (on a farm, the
+// minimum across workers): 3 for hash-first sessions, 2 for keep-alive
+// peers that predate the artifact exchange, 1 for a single peer that only
+// speaks the legacy one-batch dialect (a farm needs 2 or later).
 func (c *Client) WireVersion() int { return c.sess.WireVersion() }
 
 // Backend reports the proof backend the session negotiated (every prover

@@ -7,6 +7,9 @@
 //	zaatar-client -connect localhost:7001 -src prog.zr -inputs "10; 20"
 //
 // Several provers can share one batch (the paper's distributed prover):
+// the list is a farm with static routing, so a prover that dies mid-batch
+// has its share requeued onto the others (-farm adds affinity routing and
+// the other farm flags):
 //
 //	zaatar-client -connect host1:7001,host2:7001 -src prog.zr -inputs "10; 20; 30; 40"
 //
@@ -34,7 +37,7 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("connect", "localhost:7001", "prover address(es), comma-separated for a distributed batch")
+		addr     = flag.String("connect", "localhost:7001", "prover address(es); a comma-separated list splits each batch across them as a static-routed farm that requeues a dead prover's share")
 		srcPath  = flag.String("src", "", "path to the mini-SFDL source file")
 		inputs   = flag.String("inputs", "", "instance inputs: comma-separated ints; ';' separates instances")
 		rhoLin   = flag.Int("rholin", 20, "linearity test iterations")

@@ -13,12 +13,12 @@ import (
 	"zaatar/internal/transport"
 )
 
-// FarmError attributes a farm (or multi-prover session) failure to one
-// worker: Addr names the worker, Leg its connection index, and Unwrap
-// exposes the cause. RunBatch on a farm client returns one only when a
-// shard could not be recovered (every retry exhausted, or all workers
-// lost); a mere verification failure is never an error — it surfaces as
-// SessionResult.Accepted[i] == false.
+// FarmError attributes a farm failure (DialFarm, or a multi-address Dial)
+// to one worker: Addr names the worker, Leg its connection index, and
+// Unwrap exposes the cause. RunBatch on a farm client returns one only
+// when a shard could not be recovered (every retry exhausted, or all
+// workers lost); a mere verification failure is never an error — it
+// surfaces as SessionResult.Accepted[i] == false.
 type FarmError = transport.FarmError
 
 // FarmRouting selects how DialFarm orders workers for shard placement.
@@ -35,7 +35,8 @@ const (
 )
 
 // WithFarmRouting selects the worker-ordering policy for DialFarm; other
-// dial paths ignore it.
+// dial paths ignore it (a multi-address Dial always keeps the caller's
+// order).
 func WithFarmRouting(r FarmRouting) RunOption {
 	return runOption(func(o *options) { o.farmRouting = r })
 }
@@ -120,10 +121,15 @@ func DialFarm(ctx context.Context, addrs []string, src string, opts ...RunOption
 	if len(clean) == 0 {
 		return nil, fmt.Errorf("zaatar: no worker addresses")
 	}
+	return dialFarm(ctx, clean, src, o)
+}
+
+// dialFarm opens a farm over addrs: DialFarm's, and a multi-address Dial's.
+func dialFarm(ctx context.Context, addrs []string, src string, o options) (*Client, error) {
 	if o.farmRouting == FarmAffinity {
-		clean = rankAddrs(clean, src)
+		addrs = rankAddrs(addrs, src)
 	}
-	sess, err := dialSession(ctx, clean, src, o)
+	sess, err := dialSession(ctx, addrs, src, o)
 	if err != nil {
 		return nil, err
 	}
@@ -131,10 +137,6 @@ func DialFarm(ctx context.Context, addrs []string, src string, opts ...RunOption
 		ShardRetries: o.shardRetries,
 		ShardSize:    o.shardSize,
 		WideCommit:   o.wideCommit,
-		Workers:      o.cfg.Workers,
-		Seed:         o.cfg.Seed,
-		Obs:          o.cfg.Obs,
-		Logger:       o.logger,
 	})
 	if err != nil {
 		_ = sess.Close()

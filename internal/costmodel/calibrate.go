@@ -19,31 +19,39 @@ func Calibrate(f *field.Field, group *elgamal.Group, reps int) OpCosts {
 	rnd := prg.NewFromSeed([]byte("calibrate"), 0)
 	var p OpCosts
 
-	a, b := f.Rand(rnd), f.RandNonZero(rnd)
+	b := f.RandNonZero(rnd)
 
-	// f: field multiplication with reduction.
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		a = f.Mul(a, b)
-	}
-	p.F = seconds(start, reps)
-
-	// f_lazy: per-term cost of a lazily-reduced inner product.
+	// f and f_lazy are both per-term costs of one inner product over the
+	// same vectors and term count: f reduces every term (Mul, then Add),
+	// f_lazy is the lazily-reduced kernel. Each gets one untimed warm-up
+	// pass first.
 	const ipLen = 512
 	va := f.RandVector(ipLen, rnd)
 	vb := f.RandVector(ipLen, rnd)
-	start = time.Now()
-	for i := 0; i < reps/ipLen+1; i++ {
-		_ = f.InnerProduct(va, vb)
+	passes := reps/ipLen + 1
+	perTerm := func(ip func() field.Element) float64 {
+		_ = ip()
+		start := time.Now()
+		for i := 0; i < passes; i++ {
+			_ = ip()
+		}
+		return seconds(start, passes*ipLen)
 	}
-	p.FLazy = seconds(start, (reps/ipLen+1)*ipLen)
+	p.F = perTerm(func() field.Element {
+		acc := f.Zero()
+		for j := range va {
+			acc = f.Add(acc, f.Mul(va[j], vb[j]))
+		}
+		return acc
+	})
+	p.FLazy = perTerm(func() field.Element { return f.InnerProduct(va, vb) })
 
 	// f_div: field inversion.
 	divReps := reps / 20
 	if divReps < 8 {
 		divReps = 8
 	}
-	start = time.Now()
+	start := time.Now()
 	for i := 0; i < divReps; i++ {
 		b = f.Inv(b)
 	}
@@ -52,7 +60,7 @@ func Calibrate(f *field.Field, group *elgamal.Group, reps int) OpCosts {
 	// c: pseudorandom field element.
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		a = f.Rand(rnd)
+		_ = f.Rand(rnd)
 	}
 	p.C = seconds(start, reps)
 

@@ -105,7 +105,9 @@ func RunFarm(o Options, beta int) (*FarmResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := obs.NewRegistry()
 	fcopts := copts
+	fcopts.Workers, fcopts.Obs = o.Workers, reg
 	fcopts.Addrs = make([]string, workers)
 	for i := range fcopts.Addrs {
 		fcopts.Addrs[i] = fmt.Sprintf("worker-%d", i)
@@ -114,8 +116,7 @@ func RunFarm(o Options, beta int) (*FarmResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := obs.NewRegistry()
-	fm, err := farm.New(sess, farm.Options{Workers: o.Workers, Seed: fcopts.Seed, Obs: reg})
+	fm, err := farm.New(sess, farm.Options{})
 	if err != nil {
 		sess.Close()
 		return nil, err

@@ -3,8 +3,8 @@
 // A Farm wraps a multi-leg transport.Session (one leg per worker) and
 // shards each batch across the legs: every shard is an independent wire
 // mini-batch — its own commit request, its own query seed, its own
-// commitment key — driven over one leg via Session.ShardCommit and
-// Session.ShardRespond. Per-shard keys are what make the scheme sound
+// commitment key — driven by vc.Drive as one round over one leg
+// (Session.Leg). Per-shard keys are what make the scheme sound
 // without a global barrier: the workers are collectively one adversary, and
 // each shard's seed is revealed only after that shard's commitments are in,
 // exactly the per-batch discipline of Verifier.Reseed. A requeued or stolen
@@ -21,24 +21,23 @@
 // fatal rather than retried.
 //
 // When a batch is narrower than the fleet and WideCommit asks for it, the
-// farm instead splits each instance's commitment multiexp across k workers
-// with vc.SplitCommitRequest: each worker commits against a masked share of
-// Enc(r) and the partial commitments fold back into the single-prover
-// commitment (vc.CombineCommitments). Only the commitment crypto splits;
-// each cooperating worker still solves the constraints and builds H(t)
-// itself.
+// farm instead drives the batch as one round whose commitment multiexp is
+// split across k workers with vc.SplitCommitRequest: each worker commits
+// against a masked share of Enc(r) and the partial commitments fold back
+// into the single-prover commitments (vc.CombineCommitments). Only the
+// commitment crypto splits; each cooperating worker still solves the
+// constraints and builds H(t) itself.
 package farm
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math/big"
 	"sync"
-	"time"
 
-	"zaatar/internal/compiler"
 	"zaatar/internal/obs"
 	"zaatar/internal/transport"
 	"zaatar/internal/vc"
@@ -87,23 +86,18 @@ type Options struct {
 	// commitment crypto per worker, a good trade only when the multiexp
 	// dominates.
 	WideCommit int
-	// Workers is the verification parallelism within one shard.
-	Workers int
-	// Seed fixes shard query seeds (each shard appends a counter); empty
-	// draws fresh randomness per shard. Must match the seed the session was
-	// dialed with for the dial-time verifier to line up.
-	Seed []byte
-	// Obs receives farm.* metrics and spans; nil uses obs.Default().
-	Obs *obs.Registry
-	// Logger receives worker-death and requeue records; nil disables.
-	Logger *slog.Logger
 }
 
 // Farm drives a multi-worker prover session. Create with New; RunBatch
 // then schedules each batch across the live workers. RunBatch calls are
-// serialized internally, like Session.RunBatch.
+// serialized internally, like Session.RunBatch. The session's options
+// carry over: Seed fixes shard query seeds (each shard appends a counter),
+// Workers is the verification parallelism within one shard, and farm.*
+// metrics and worker-death records go to its Obs and Logger.
 type Farm struct {
-	sess *transport.Session
+	// The embedded session supplies Program, WireVersion, Backend,
+	// SetupDuration and Close, so a Farm serves wherever a Session does.
+	*transport.Session
 	opts Options
 	reg  *obs.Registry
 	log  *slog.Logger
@@ -112,7 +106,6 @@ type Farm struct {
 
 	mu    sync.Mutex
 	alive []bool
-	live  int
 	seq   int // shard seed counter, monotone across batches
 
 	vmu   sync.Mutex
@@ -132,76 +125,37 @@ type pooledVerifier struct {
 // negotiated wire v2 or later on every leg: each shard is an extra wire
 // batch on its leg, which v1 servers refuse.
 func New(sess *transport.Session, opts Options) (*Farm, error) {
-	if sess.NumLegs() < 1 {
-		return nil, errors.New("farm: session has no workers")
-	}
 	if sess.WireVersion() < transport.ProtocolV2 {
 		return nil, fmt.Errorf("farm: workers negotiated wire v%d; the farm needs keep-alive sessions (v2+)", sess.WireVersion())
 	}
+	copts := sess.Options()
 	f := &Farm{
-		sess:  sess,
-		opts:  opts,
-		reg:   opts.Obs,
-		log:   obs.OrNop(opts.Logger),
-		alive: make([]bool, sess.NumLegs()),
-		live:  sess.NumLegs(),
-		vpool: make(chan *pooledVerifier, sess.NumLegs()),
-		vmade: 1,
-	}
-	if f.reg == nil {
-		f.reg = obs.Default()
+		Session: sess,
+		opts:    opts,
+		reg:     cmp.Or(copts.Obs, obs.Default()),
+		log:     obs.OrNop(copts.Logger),
+		alive:   make([]bool, sess.NumLegs()),
+		vpool:   make(chan *pooledVerifier, sess.NumLegs()),
+		vmade:   1,
 	}
 	for i := range f.alive {
 		f.alive[i] = true
 	}
 	// The dial-time verifier is pool member #1, fresh from the handshake.
 	f.vpool <- &pooledVerifier{v: sess.Verifier()}
-	f.reg.RegisterGauge(MetricWorkersLive, func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return float64(f.live)
-	})
+	f.reg.RegisterGauge(MetricWorkersLive, func() float64 { return float64(f.LiveWorkers()) })
 	return f, nil
 }
 
-// Program, WireVersion, Backend, SetupDuration and Close delegate to the
-// underlying session, so a Farm serves wherever a Session does.
-func (f *Farm) Program() *compiler.Program   { return f.sess.Program() }
-func (f *Farm) WireVersion() int             { return f.sess.WireVersion() }
-func (f *Farm) Backend() string              { return f.sess.Backend() }
-func (f *Farm) SetupDuration() time.Duration { return f.sess.SetupDuration() }
-func (f *Farm) Close() error                 { return f.sess.Close() }
-
-// NumWorkers reports the fleet size; LiveWorkers how many are still serving.
-func (f *Farm) NumWorkers() int { return f.sess.NumLegs() }
-
-func (f *Farm) LiveWorkers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.live
-}
+// LiveWorkers reports how many workers are still serving.
+func (f *Farm) LiveWorkers() int { return len(f.liveLegs()) }
 
 // retries resolves Options.ShardRetries (0 = default 2, negative = none).
 func (f *Farm) retries() int {
-	switch {
-	case f.opts.ShardRetries > 0:
-		return f.opts.ShardRetries
-	case f.opts.ShardRetries < 0:
-		return 0
-	default:
+	if f.opts.ShardRetries == 0 {
 		return 2
 	}
-}
-
-// shardSeed derives shard n's query seed; empty base stays empty (fresh
-// randomness per shard), mirroring the session's per-batch derivation.
-func shardSeed(base []byte, n int) []byte {
-	if len(base) == 0 {
-		return nil
-	}
-	out := make([]byte, 0, len(base)+4)
-	out = append(out, base...)
-	return append(out, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+	return max(f.opts.ShardRetries, 0)
 }
 
 func (f *Farm) nextSeed() []byte {
@@ -209,7 +163,7 @@ func (f *Farm) nextSeed() []byte {
 	n := f.seq
 	f.seq++
 	f.mu.Unlock()
-	return shardSeed(f.opts.Seed, n)
+	return vc.DeriveSeed(f.Options().Seed, n)
 }
 
 // acquire hands out a verifier with fresh per-shard state: a pooled one
@@ -221,10 +175,10 @@ func (f *Farm) acquire(ctx context.Context) (*pooledVerifier, error) {
 	case pv = <-f.vpool:
 	default:
 		f.vmu.Lock()
-		if f.vmade < f.sess.NumLegs() {
+		if f.vmade < f.NumLegs() {
 			f.vmade++
 			f.vmu.Unlock()
-			nv, err := f.sess.Verifier().Fork(ctx, f.nextSeed())
+			nv, err := f.Verifier().Fork(ctx, f.nextSeed())
 			if err != nil {
 				f.vmu.Lock()
 				f.vmade--
@@ -259,7 +213,7 @@ func (f *Farm) release(pv *pooledVerifier) {
 func (f *Farm) liveLegs() []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]int, 0, f.live)
+	out := make([]int, 0, len(f.alive))
 	for i, ok := range f.alive {
 		if ok {
 			out = append(out, i)
@@ -273,17 +227,14 @@ func (f *Farm) liveLegs() []int {
 func (f *Farm) workerDied(i int, cause error) {
 	f.mu.Lock()
 	wasAlive := f.alive[i]
-	if wasAlive {
-		f.alive[i] = false
-		f.live--
-	}
+	f.alive[i] = false
 	f.mu.Unlock()
 	if !wasAlive {
 		return
 	}
 	f.reg.Counter(MetricWorkerFailures).Inc()
-	_ = f.sess.CloseLeg(i)
-	f.log.Warn("farm worker died", "worker", f.sess.LegAddr(i), "leg", i, "err", cause)
+	_ = f.CloseLeg(i)
+	f.log.Warn("farm worker died", "worker", f.LegAddr(i), "leg", i, "err", cause)
 }
 
 // isWorkerDeath classifies a shard failure: a *FarmError that is not a
@@ -318,9 +269,6 @@ func (f *Farm) RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.Ses
 	if len(batch) == 0 {
 		return nil, errors.New("farm: empty batch")
 	}
-	if len(f.liveLegs()) == 0 {
-		return nil, errors.New("farm: no live workers")
-	}
 	sp := f.reg.StartSpan(MetricSpanBatch)
 	defer sp.End()
 	out := &transport.SessionResult{
@@ -328,27 +276,18 @@ func (f *Farm) RunBatch(ctx context.Context, batch [][]*big.Int) (*transport.Ses
 		Reasons:  make([]string, len(batch)),
 		Outputs:  make([][]*big.Int, len(batch)),
 	}
-	var err error
-	if f.wideEligible(len(batch)) {
-		err = f.runWide(ctx, batch, out)
-	} else {
-		err = f.runSharded(ctx, batch, out, 0, len(batch))
+	// Wide mode needs an explicit opt-in, at least two live workers,
+	// commitments on, and a batch narrower than the fleet (otherwise plain
+	// sharding keeps every worker busy without recomputing solves).
+	run := f.runSharded
+	if live := f.LiveWorkers(); f.opts.WideCommit >= 2 && live >= 2 && len(batch) < live &&
+		len(f.Verifier().Setup().EncR1) > 0 {
+		run = f.runWide
 	}
-	if err != nil {
+	if err := run(ctx, batch, out); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// wideEligible: wide mode needs an explicit opt-in, at least two live
-// workers, commitments on, and a batch narrower than the fleet (otherwise
-// plain sharding keeps every worker busy without recomputing solves).
-func (f *Farm) wideEligible(n int) bool {
-	if f.opts.WideCommit < 2 {
-		return false
-	}
-	live := f.LiveWorkers()
-	return live >= 2 && n < live && len(f.sess.Verifier().Setup().EncR1) > 0
 }
 
 // ---- sharded mode -------------------------------------------------------
@@ -451,26 +390,23 @@ func (q *shardQueue) failure() error {
 	return q.err
 }
 
-// runSharded schedules instances [lo,hi) of batch across the live workers
-// and writes verdicts into the matching positions of out.
-func (f *Farm) runSharded(ctx context.Context, batch [][]*big.Int, out *transport.SessionResult, lo, hi int) error {
+// runSharded schedules batch across the live workers and writes verdicts
+// into the matching positions of out.
+func (f *Farm) runSharded(ctx context.Context, batch [][]*big.Int, out *transport.SessionResult) error {
 	live := f.liveLegs()
 	if len(live) == 0 {
 		return errors.New("farm: no live workers")
 	}
 	size := f.opts.ShardSize
 	if size <= 0 {
-		size = (hi - lo + 2*len(live) - 1) / (2 * len(live))
+		size = (len(batch) + 2*len(live) - 1) / (2 * len(live))
 		if size < 1 {
 			size = 1
 		}
 	}
 	q := newShardQueue()
-	for s, i := lo, 0; s < hi; i++ {
-		e := s + size
-		if e > hi {
-			e = hi
-		}
+	for s, i := 0, 0; s < len(batch); i++ {
+		e := min(s+size, len(batch))
 		q.tasks = append(q.tasks, &task{lo: s, hi: e, pref: live[i%len(live)]})
 		s = e
 	}
@@ -527,7 +463,7 @@ func (f *Farm) legWorker(ctx context.Context, leg int, q *shardQueue, batch [][]
 		} else {
 			t.retries++
 			f.reg.Counter(MetricShardRequeued).Inc()
-			f.log.Info("farm shard requeued", "lo", t.lo, "hi", t.hi, "attempt", t.retries, "worker", f.sess.LegAddr(leg))
+			f.log.Info("farm shard requeued", "lo", t.lo, "hi", t.hi, "attempt", t.retries, "worker", f.LegAddr(leg))
 			q.requeue(t)
 		}
 		q.retire(err)
@@ -535,228 +471,179 @@ func (f *Farm) legWorker(ctx context.Context, leg int, q *shardQueue, batch [][]
 	}
 }
 
-// runShard runs one shard as a wire mini-batch on one leg: commit, decommit,
-// respond, verify, with verdicts written to the shard's slice of out.
+// runShard drives one shard as a round on one leg, with verdicts written
+// to the shard's slice of out.
 func (f *Farm) runShard(ctx context.Context, leg int, v *vc.Verifier, t *task, batch [][]*big.Int, out *transport.SessionResult) error {
 	sp := f.reg.StartSpan(MetricSpanShard)
 	defer sp.End()
-	f.reg.CounterVec(MetricShards, LabelWorker).With(f.sess.LegAddr(leg)).Inc()
-	shard := batch[t.lo:t.hi]
-	cms, err := f.sess.ShardCommit(ctx, leg, v.Setup(), shard)
+	f.reg.CounterVec(MetricShards, LabelWorker).With(f.LegAddr(leg)).Inc()
+	res, err := vc.Drive(ctx, v, f.Leg(leg), batch[t.lo:t.hi], f.Options().Workers)
 	if err != nil {
 		return err
 	}
-	dreq, err := v.Decommit()
-	if err != nil {
-		return err
-	}
-	resps, err := f.sess.ShardRespond(ctx, leg, dreq)
-	if err != nil {
-		return err
-	}
-	if len(resps) != len(shard) {
-		return &transport.FarmError{Addr: f.sess.LegAddr(leg), Leg: leg,
-			Err: errors.New("farm: response count mismatch")}
-	}
-	workers := f.opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	return vc.ForEach(ctx, len(shard), workers, func(i int) error {
-		ok, reason := v.VerifyInstance(ctx, shard[i], cms[i], resps[i])
-		out.Accepted[t.lo+i] = ok
-		out.Reasons[t.lo+i] = reason
-		out.Outputs[t.lo+i] = cms[i].Output
-		return nil
-	})
+	copy(out.Accepted[t.lo:], res.Accepted)
+	copy(out.Reasons[t.lo:], res.Reasons)
+	copy(out.Outputs[t.lo:], res.Outputs)
+	return nil
 }
 
 // ---- wide mode ----------------------------------------------------------
 
-// errNarrow asks runWide to fall back to sharded mode for the remaining
-// instances (fewer than two live workers left).
-var errNarrow = errors.New("farm: too few workers for wide commit")
-
-// runWide proves the batch one instance at a time, splitting each
-// instance's commitment across cooperating workers.
+// runWide drives the whole batch as one round through a wideEndpoint.
+// A worker death retires the worker and retries the round with fresh
+// randomness on the survivors, bounded like shard requeues; with fewer
+// than two live workers left the batch falls back to sharded mode.
 func (f *Farm) runWide(ctx context.Context, batch [][]*big.Int, out *transport.SessionResult) error {
-	for idx := range batch {
-		err := f.runWideInstance(ctx, idx, batch[idx], out)
-		if errors.Is(err, errNarrow) {
-			return f.runSharded(ctx, batch, out, idx, len(batch))
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runWideInstance drives one instance through a split commit: mask Enc(r)
-// into k shares, commit on k legs concurrently, fold the partials, reveal
-// one decommit to every leg, verify against any surviving leg's response.
-// A worker death mid-cycle drains the surviving legs (their wire batch must
-// finish) and retries with fresh randomness, bounded like shard requeues.
-func (f *Farm) runWideInstance(ctx context.Context, idx int, inputs []*big.Int, out *transport.SessionResult) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		legs := f.liveLegs()
 		if len(legs) < 2 {
-			return errNarrow
+			return f.runSharded(ctx, batch, out)
 		}
 		if attempt > f.retries() {
-			return fmt.Errorf("farm: wide commit for instance %d failed after %d attempts: %w", idx, attempt, lastErr)
+			return fmt.Errorf("farm: wide commit failed after %d attempts: %w", attempt, lastErr)
 		}
 		if attempt > 0 {
-			f.reg.Counter(MetricShardRequeued).Inc()
+			f.reg.Counter(MetricShardRequeued).Add(int64(len(batch)))
 		}
-		k := f.opts.WideCommit
-		if k > len(legs) {
-			k = len(legs)
-		}
-		group := legs[:k]
 		pv, err := f.acquire(ctx)
 		if err != nil {
 			return err
 		}
-		v := pv.v
-		parts := vc.SplitCommitRequest(v.Setup(), k)
-		f.reg.Counter(MetricWideSplits).Inc()
+		f.reg.Counter(MetricWideSplits).Add(int64(len(batch)))
 		sp := f.reg.StartSpan(MetricSpanShard)
-
-		cms := make([]*vc.Commitment, k)
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for j := 0; j < k; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				f.reg.CounterVec(MetricShards, LabelWorker).With(f.sess.LegAddr(group[j])).Inc()
-				got, err := f.sess.ShardCommit(ctx, group[j], parts[j], [][]*big.Int{inputs})
-				if err != nil {
-					errs[j] = err
-					return
-				}
-				cms[j] = got[0]
-			}(j)
-		}
-		wg.Wait()
-
-		// The decommit is needed either way: to finish the cycle on success,
-		// and to drain the surviving legs' wire batches on failure. The seed
-		// it reveals is burnt regardless — a retry reseeds.
-		dreq, derr := v.Decommit()
-		if derr != nil {
-			f.release(pv)
-			sp.End()
-			return derr
-		}
-		if err := f.classifyWide(ctx, errs, group); err != nil {
-			f.release(pv)
-			sp.End()
-			return err
-		}
-		if failed := anyErr(errs); failed != nil {
-			// Drain healthy mid-cycle legs, then retry the whole instance.
-			for j := 0; j < k; j++ {
-				if errs[j] != nil {
-					continue
-				}
-				if _, err := f.sess.ShardRespond(ctx, group[j], dreq); err != nil {
-					if _, death := isWorkerDeath(ctx, err); !death {
-						f.release(pv)
-						sp.End()
-						return err
-					}
-					var fe *transport.FarmError
-					errors.As(err, &fe)
-					f.workerDied(group[j], fe.Err)
-				}
-			}
-			f.release(pv)
-			sp.End()
-			lastErr = failed
-			f.log.Info("farm wide instance retried", "instance", idx, "attempt", attempt+1, "err", failed)
-			continue
-		}
-
-		combined, err := v.CombineCommitments(cms)
+		w := &wideEndpoint{f: f, v: pv.v, legs: legs[:min(f.opts.WideCommit, len(legs))]}
+		res, err := vc.Drive(ctx, pv.v, w, batch, f.Options().Workers)
 		if err != nil {
-			f.release(pv)
-			sp.End()
-			return err
+			err = w.drain(ctx, err)
 		}
-		// Every leg must see the decommit to close its wire batch; any one
-		// leg's response verifies the combined commitment (the PCP answers
-		// are a deterministic function of the proof vector and the seed).
-		var resp *vc.Response
-		rerrs := make([]error, k)
-		var rwg sync.WaitGroup
-		resps := make([]*vc.Response, k)
-		for j := 0; j < k; j++ {
-			rwg.Add(1)
-			go func(j int) {
-				defer rwg.Done()
-				got, err := f.sess.ShardRespond(ctx, group[j], dreq)
-				if err != nil {
-					rerrs[j] = err
-					return
-				}
-				if len(got) != 1 {
-					rerrs[j] = &transport.FarmError{Addr: f.sess.LegAddr(group[j]), Leg: group[j],
-						Err: errors.New("farm: response count mismatch")}
-					return
-				}
-				resps[j] = got[0]
-			}(j)
-		}
-		rwg.Wait()
 		sp.End()
-		if err := f.classifyWide(ctx, rerrs, group); err != nil {
-			f.release(pv)
-			return err
-		}
-		for j := 0; j < k; j++ {
-			if rerrs[j] == nil {
-				resp = resps[j]
-				break
-			}
-		}
-		if resp == nil {
-			f.release(pv)
-			lastErr = anyErr(rerrs)
-			continue
-		}
-		ok, reason := v.VerifyInstance(ctx, inputs, combined, resp)
-		out.Accepted[idx] = ok
-		out.Reasons[idx] = reason
-		out.Outputs[idx] = combined.Output
 		f.release(pv)
-		return nil
-	}
-}
-
-// classifyWide splits a wide cycle's per-leg errors into worker deaths
-// (retire the leg, recoverable) and fatal errors (returned).
-func (f *Farm) classifyWide(ctx context.Context, errs []error, group []int) error {
-	for j, err := range errs {
 		if err == nil {
-			continue
+			*out = transport.SessionResult{Accepted: res.Accepted, Reasons: res.Reasons, Outputs: res.Outputs}
+			return nil
 		}
-		fe, death := isWorkerDeath(ctx, err)
-		if !death {
+		if _, death := isWorkerDeath(ctx, err); !death {
 			return err
 		}
-		f.workerDied(group[j], fe.Err)
+		lastErr = err
+		f.log.Info("farm wide batch retried", "instances", len(batch), "attempt", attempt+1, "err", err)
+	}
+}
+
+// wideEndpoint is one round split across cooperating legs: Commit masks
+// Enc(r) into one share per leg, commits on every leg concurrently and
+// folds the partial commitments; Respond reveals the decommit to every leg
+// (each must close its wire batch) and emits one surviving leg's
+// responses — the PCP answers are a deterministic function of the proof
+// vector and the seed, so any leg's verify the combined commitments.
+type wideEndpoint struct {
+	f    *Farm
+	v    *vc.Verifier
+	legs []int
+	eps  []vc.Endpoint
+	n    int   // instances in the round
+	live []int // positions in legs whose commit succeeded, awaiting a decommit
+}
+
+// each runs fn concurrently for every position in js and returns the
+// positions that succeeded. A worker death retires that worker; the error
+// is the first fatal failure if any, else the first death.
+func (w *wideEndpoint) each(ctx context.Context, js []int, fn func(j int) error) ([]int, error) {
+	errs := make([]error, len(w.legs))
+	var wg sync.WaitGroup
+	for _, j := range js {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			errs[j] = fn(j)
+		}(j)
+	}
+	wg.Wait()
+	var ok []int
+	var fatal, death error
+	for _, j := range js {
+		switch fe, dead := isWorkerDeath(ctx, errs[j]); {
+		case errs[j] == nil:
+			ok = append(ok, j)
+		case dead:
+			w.f.workerDied(w.legs[j], fe.Err)
+			death = cmp.Or(death, errs[j])
+		default:
+			fatal = cmp.Or(fatal, errs[j])
+		}
+	}
+	return ok, cmp.Or(fatal, death)
+}
+
+func (w *wideEndpoint) Commit(ctx context.Context, req *vc.CommitRequest, instances [][]*big.Int) ([]*vc.Commitment, error) {
+	k := len(w.legs)
+	parts := vc.SplitCommitRequest(req, k)
+	w.n, w.eps = len(instances), make([]vc.Endpoint, k)
+	all := make([]int, k)
+	for j := range all {
+		all[j] = j
+	}
+	got := make([][]*vc.Commitment, k)
+	var err error
+	w.live, err = w.each(ctx, all, func(j int) error {
+		w.f.reg.CounterVec(MetricShards, LabelWorker).With(w.f.LegAddr(w.legs[j])).Inc()
+		w.eps[j] = w.f.Leg(w.legs[j])
+		var err error
+		got[j], err = w.eps[j].Commit(ctx, parts[j], instances)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	cms := make([]*vc.Commitment, w.n)
+	shares := make([]*vc.Commitment, k)
+	for i := range cms {
+		for j := range shares {
+			shares[j] = got[j][i]
+		}
+		if cms[i], err = w.v.CombineCommitments(shares); err != nil {
+			return nil, err
+		}
+	}
+	return cms, nil
+}
+
+func (w *wideEndpoint) Respond(ctx context.Context, dreq *vc.DecommitRequest, emit func(int, *vc.Response) error) error {
+	resps := make([][]*vc.Response, len(w.legs))
+	ok, err := w.each(ctx, w.live, func(j int) error {
+		resps[j] = make([]*vc.Response, w.n)
+		return w.eps[j].Respond(ctx, dreq, func(i int, r *vc.Response) error {
+			resps[j][i] = r
+			return nil
+		})
+	})
+	w.live = nil
+	if _, dead := isWorkerDeath(ctx, err); (err != nil && !dead) || len(ok) == 0 {
+		return err
+	}
+	for i, r := range resps[ok[0]] {
+		if err := emit(i, r); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-func anyErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+// drain closes the wire batch of every leg still awaiting a decommit when
+// the round failed before revealing its own: those legs get a freshly
+// built decommit of the burnt round and their answers are dropped. It
+// returns cause unless draining failed fatally.
+func (w *wideEndpoint) drain(ctx context.Context, cause error) error {
+	if len(w.live) == 0 {
+		return cause
 	}
-	return nil
+	dreq, err := w.v.Decommit()
+	if err == nil {
+		err = w.Respond(ctx, dreq, func(int, *vc.Response) error { return nil })
+	}
+	if _, dead := isWorkerDeath(ctx, err); err != nil && !dead {
+		return err
+	}
+	return cause
 }

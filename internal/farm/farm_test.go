@@ -111,7 +111,7 @@ func TestFarmShardedMatchesSingleProver(t *testing.T) {
 	hello := transport.Hello{Source: farmSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
 	f := newTestFarm(t, 2, hello,
 		transport.ClientOptions{Seed: []byte("farm"), Obs: reg},
-		Options{Seed: []byte("farm"), Obs: reg}, nil)
+		Options{}, nil)
 	batch := intBatch(8)
 	res, err := f.RunBatch(context.Background(), batch)
 	if err != nil {
@@ -141,7 +141,7 @@ func TestFarmWorkerDeathRequeues(t *testing.T) {
 	hello := transport.Hello{Source: farmSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
 	f := newTestFarm(t, 2, hello,
 		transport.ClientOptions{Seed: []byte("kill"), Obs: reg},
-		Options{Seed: []byte("kill"), Obs: reg},
+		Options{},
 		func(i int, conn net.Conn) net.Conn {
 			if i == 1 {
 				return &dieAfterAck{Conn: conn}
@@ -170,8 +170,8 @@ func TestFarmWorkerDeathRequeues(t *testing.T) {
 func TestFarmAllWorkersDead(t *testing.T) {
 	hello := transport.Hello{Source: farmSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
 	f := newTestFarm(t, 2, hello,
-		transport.ClientOptions{Seed: []byte("dead")},
-		Options{Seed: []byte("dead"), Obs: obs.NewRegistry()},
+		transport.ClientOptions{Seed: []byte("dead"), Obs: obs.NewRegistry()},
+		Options{},
 		func(i int, conn net.Conn) net.Conn { return &dieAfterAck{Conn: conn} })
 	_, err := f.RunBatch(context.Background(), intBatch(4))
 	if err == nil {
@@ -194,7 +194,7 @@ func TestFarmConcurrentShards(t *testing.T) {
 	hello := transport.Hello{Source: farmSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
 	f := newTestFarm(t, 3, hello,
 		transport.ClientOptions{Seed: []byte("race"), Obs: reg},
-		Options{Seed: []byte("race"), ShardSize: 1, Obs: reg}, nil)
+		Options{ShardSize: 1}, nil)
 	batch := intBatch(9)
 	res, err := f.RunBatch(context.Background(), batch)
 	if err != nil {
@@ -219,7 +219,7 @@ func TestFarmWideCommit(t *testing.T) {
 	hello := transport.Hello{Source: farmSrc, RhoLin: 1, Rho: 1}
 	f := newTestFarm(t, 2, hello,
 		transport.ClientOptions{Seed: []byte("wide"), Group: g, Obs: reg},
-		Options{Seed: []byte("wide"), WideCommit: 2, Obs: reg}, nil)
+		Options{WideCommit: 2}, nil)
 	batch := [][]*big.Int{{big.NewInt(9)}}
 	res, err := f.RunBatch(context.Background(), batch)
 	if err != nil {
@@ -229,4 +229,43 @@ func TestFarmWideCommit(t *testing.T) {
 	if got := reg.Counter(MetricWideSplits).Value(); got < 1 {
 		t.Fatalf("farm.wide.splits = %d, want ≥ 1", got)
 	}
+}
+
+// TestFarmWideWorkerDeathRetries kills one of the two workers a wide round
+// splits its commitment across: the survivor's open wire batch is drained,
+// the dead worker retired, and the round retried on the remaining pair.
+func TestFarmWideWorkerDeathRetries(t *testing.T) {
+	g, err := elgamal.GenerateGroup(field.F128().Modulus(), 320, prg.NewFromSeed([]byte("fg"), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	hello := transport.Hello{Source: farmSrc, RhoLin: 1, Rho: 1}
+	f := newTestFarm(t, 3, hello,
+		transport.ClientOptions{Seed: []byte("wide-kill"), Group: g, Obs: reg},
+		Options{WideCommit: 2},
+		func(i int, conn net.Conn) net.Conn {
+			if i == 0 {
+				return &dieAfterAck{Conn: conn}
+			}
+			return conn
+		})
+	batch := [][]*big.Int{{big.NewInt(9)}}
+	res, err := f.RunBatch(context.Background(), batch)
+	if err != nil {
+		t.Fatalf("wide batch should survive one worker death: %v", err)
+	}
+	checkOutputs(t, batch, res)
+	if got := reg.Counter(MetricShardRequeued).Value(); got != 1 {
+		t.Fatalf("farm.shard.requeued = %d, want 1", got)
+	}
+	if f.LiveWorkers() != 2 {
+		t.Fatalf("live workers = %d, want 2", f.LiveWorkers())
+	}
+	// The drained survivor still serves: a second batch verifies.
+	res, err = f.RunBatch(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOutputs(t, batch, res)
 }

@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/big"
 
+	"zaatar/internal/obs/trace"
 	"zaatar/internal/vc"
 )
 
@@ -34,24 +36,16 @@ func (e *FarmError) Unwrap() error { return e.Err }
 // sessions; single-prover sessions keep their errors undressed (there is
 // only one worker the failure could belong to).
 func (s *Session) legError(i int, err error) error {
-	if err == nil || !s.multi {
+	if !s.multi {
 		return err
 	}
-	var fe *FarmError
-	if errors.As(err, &fe) {
-		return err
-	}
-	return &FarmError{Addr: s.legs[i].addr, Leg: i, Err: err}
+	return s.attribute(i, err)
 }
 
-// shardError always wraps: the per-leg shard operations exist for farm
-// coordinators, where attribution is the point even on a one-worker farm.
-func (s *Session) shardError(i int, err error) error {
-	if err == nil {
-		return err
-	}
+// attribute wraps err in a *FarmError naming leg i's worker.
+func (s *Session) attribute(i int, err error) error {
 	var fe *FarmError
-	if errors.As(err, &fe) {
+	if err == nil || errors.As(err, &fe) {
 		return err
 	}
 	return &FarmError{Addr: s.legs[i].addr, Leg: i, Err: err}
@@ -64,13 +58,15 @@ func (s *Session) NumLegs() int { return len(s.legs) }
 // otherwise the connection's remote address).
 func (s *Session) LegAddr(i int) string { return s.legs[i].addr }
 
-// LegVersion reports the wire version negotiated with leg i's worker.
-func (s *Session) LegVersion(i int) int { return s.legs[i].version }
+// Options returns the options the session was opened with; a farm
+// coordinator takes its seeds, verification parallelism, registry and
+// logger from them.
+func (s *Session) Options() ClientOptions { return s.opts }
 
-// Verifier exposes the session's verifier so a coordinator can drive the
-// commit/decommit phases itself (see ShardCommit/ShardRespond) or Fork
-// per-shard verifiers off its precomputation. The verifier is not safe for
-// concurrent use; coordinators fork one per in-flight shard.
+// Verifier exposes the session's verifier so a coordinator can drive
+// rounds itself (vc.Drive over Leg) or Fork per-shard verifiers off its
+// precomputation. The verifier is not safe for concurrent use;
+// coordinators fork one per in-flight shard.
 func (s *Session) Verifier() *vc.Verifier { return s.verifier }
 
 // CloseLeg tears down one prover connection without ending the session —
@@ -81,53 +77,81 @@ func (s *Session) CloseLeg(i int) error {
 	return s.legs[i].conn.Close()
 }
 
-// ShardCommit runs the commit half of one mini-batch on leg i alone: it
-// ships req (a fresh per-shard commit request — shards are independent
-// batches, each with its own key and seed) together with the shard's
-// instances, and collects the per-instance commitments. The caller must
-// follow with ShardRespond on the same leg before starting this leg's next
-// shard; distinct legs may run shards concurrently. Requires the leg to
-// speak wire v2 (keep-alive): each shard is an ordinary wire batch.
-func (s *Session) ShardCommit(ctx context.Context, i int, req *vc.CommitRequest, instances [][]*big.Int) ([]*vc.Commitment, error) {
-	leg := s.legs[i]
-	leg.mu.Lock()
-	defer leg.mu.Unlock()
-	defer watch(ctx, leg.conn)()
-	if err := leg.cc.send(BatchMsg{Req: req, Instances: instances}); err != nil {
-		return nil, s.shardError(i, ctxErr(ctx, err))
-	}
+// Leg returns leg i as a vc.Endpoint for vc.Drive: each round is one wire
+// batch on that connection, with its own commit request — farm shards are
+// independent batches, each with its own key and seed. Every failure comes
+// back as a *FarmError naming the worker, even on a one-worker farm. One
+// round at a time per leg; distinct legs may run rounds concurrently.
+// Requires the leg to speak wire v2 (keep-alive).
+func (s *Session) Leg(i int) vc.Endpoint {
+	return &legEndpoint{s: s, i: i, attribute: true}
+}
+
+// legEndpoint runs rounds over one prover connection: Commit is the
+// BatchMsg → CommitmentsMsg exchange, Respond the DecommitMsg →
+// ResponsesMsg exchange, which also stitches the prover's spans into the
+// session's trace.
+type legEndpoint struct {
+	s         *Session
+	i         int
+	attribute bool // wrap every failure in a *FarmError
+	n         int  // instances in the round in flight
+}
+
+func (e *legEndpoint) Commit(ctx context.Context, req *vc.CommitRequest, instances [][]*big.Int) ([]*vc.Commitment, error) {
 	var cms CommitmentsMsg
-	if err := leg.cc.recv(&cms); err != nil {
-		return nil, s.shardError(i, ctxErr(ctx, err))
+	err := e.exchange(ctx, "wire.commit_exchange", BatchMsg{Req: req, Instances: instances}, &cms)
+	if err = cmp.Or(err, replyErr("commit", cms.Err, len(cms.Items), len(instances))); err != nil {
+		return nil, e.fail(ctx, err)
 	}
-	if cms.Err != "" {
-		return nil, s.shardError(i, &RemoteError{Phase: "commit", Msg: cms.Err})
-	}
-	if len(cms.Items) != len(instances) {
-		return nil, s.shardError(i, errors.New("transport: commitment count mismatch"))
-	}
+	e.n = len(instances)
 	return cms.Items, nil
 }
 
-// ShardRespond completes leg i's in-flight shard: it reveals the decommit
-// (seed + consistency points) and collects the per-instance responses,
-// stitching the worker's trace spans into the session's timeline. Must
-// follow a successful ShardCommit on the same leg.
-func (s *Session) ShardRespond(ctx context.Context, i int, dreq *vc.DecommitRequest) ([]*vc.Response, error) {
-	leg := s.legs[i]
-	leg.mu.Lock()
-	defer leg.mu.Unlock()
-	defer watch(ctx, leg.conn)()
-	if err := leg.cc.send(DecommitMsg{Req: dreq}); err != nil {
-		return nil, s.shardError(i, ctxErr(ctx, err))
-	}
+func (e *legEndpoint) Respond(ctx context.Context, dreq *vc.DecommitRequest, emit func(int, *vc.Response) error) error {
 	var resp ResponsesMsg
-	if err := leg.cc.recv(&resp); err != nil {
-		return nil, s.shardError(i, ctxErr(ctx, err))
+	err := e.exchange(ctx, "wire.respond_exchange", DecommitMsg{Req: dreq}, &resp)
+	if err = cmp.Or(err, replyErr("respond", resp.Err, len(resp.Items), e.n)); err != nil {
+		return e.fail(ctx, err)
 	}
-	if resp.Err != "" {
-		return nil, s.shardError(i, &RemoteError{Phase: "respond", Msg: resp.Err})
+	// Stitch this prover's spans into our timeline (records from any other
+	// trace are dropped by Import).
+	e.s.tc.Import(resp.Trace)
+	for i, r := range resp.Items {
+		if err := emit(i, r); err != nil {
+			return err
+		}
 	}
-	s.tc.Import(resp.Trace)
-	return resp.Items, nil
+	return nil
+}
+
+// exchange sends msg on the leg and receives its reply, under a span
+// named after the exchange.
+func (e *legEndpoint) exchange(ctx context.Context, span string, msg, reply any) error {
+	leg := e.s.legs[e.i]
+	defer watch(ctx, leg.conn)()
+	defer trace.Start(ctx, span).End()
+	if err := leg.cc.send(msg); err != nil {
+		return err
+	}
+	return leg.cc.recv(reply)
+}
+
+func (e *legEndpoint) fail(ctx context.Context, err error) error {
+	if err = ctxErr(ctx, err); e.attribute {
+		return e.s.attribute(e.i, err)
+	}
+	return e.s.legError(e.i, err)
+}
+
+// replyErr checks a prover's reply for the given phase: a reported error,
+// or an item count other than the instances in the round.
+func replyErr(phase, msg string, got, want int) error {
+	if msg != "" {
+		return &RemoteError{Phase: phase, Msg: msg}
+	}
+	if got != want {
+		return fmt.Errorf("transport: %s reply carries %d items for %d instances", phase, got, want)
+	}
+	return nil
 }

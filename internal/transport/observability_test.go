@@ -144,7 +144,7 @@ func TestLabeledTransportMetrics(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2})
 	client, errCh := servicePipe(svc)
 	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-	res, err := RunSession(context.Background(), client, hello, ClientOptions{Seed: []byte("lm"), Obs: reg}, instances(10))
+	res, err := runSession(context.Background(), client, hello, ClientOptions{Seed: []byte("lm"), Obs: reg}, instances(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestLabeledTransportMetrics(t *testing.T) {
 
 	// Error-rate accounting: a failed session ticks the SLO error gauge.
 	bad, errCh2 := servicePipe(svc)
-	if _, err := RunSession(context.Background(), bad, Hello{Source: "nonsense {"}, ClientOptions{Obs: reg}, instances(1)); err == nil {
+	if _, err := runSession(context.Background(), bad, Hello{Source: "nonsense {"}, ClientOptions{Obs: reg}, instances(1)); err == nil {
 		t.Fatal("malformed source unexpectedly accepted")
 	}
 	bad.Close() // the client fails before the hello; unblock the server's read

@@ -603,8 +603,9 @@ func (s *Service) ServeConn(ctx context.Context, conn net.Conn) (err error) {
 }
 
 // serveBatch runs the commit → decommit → respond exchange for one batch
-// and returns the number of instances served. ship is called immediately
-// before the final ResponsesMsg to collect the trace records to attach.
+// on the shared vc.LocalProver loops and returns the number of instances
+// served. ship is called immediately before the final ResponsesMsg to
+// collect the trace records to attach.
 func (s *Service) serveBatch(ctx context.Context, cc *timedCodec, prover *vc.Prover, batch BatchMsg, batchIdx, workers int, ship func() []trace.Record) (int, error) {
 	batchTr, ctx := trace.Child(ctx, "transport.batch")
 	batchTr.WithArg("batch", int64(batchIdx))
@@ -615,43 +616,21 @@ func (s *Service) serveBatch(ctx context.Context, cc *timedCodec, prover *vc.Pro
 		_ = cc.send(CommitmentsMsg{Err: err.Error()})
 		return 0, err
 	}
-	if batch.Req != nil {
-		// The request was gob-decoded from the peer: reject malformed group
-		// parameters or ciphertexts here, as a protocol error the client
-		// sees, rather than panicking inside the commitment kernels.
-		if err := prover.HandleCommitRequest(batch.Req); err != nil {
-			_ = cc.send(CommitmentsMsg{Err: err.Error()})
-			return 0, err
-		}
-	} else if batchIdx == 0 {
+	if batch.Req == nil && batchIdx == 0 {
 		err := fmt.Errorf("%w: first batch carries no commit request", ErrMalformedHello)
 		_ = cc.send(CommitmentsMsg{Err: err.Error()})
 		return 0, err
 	}
-	// Small batches leave pool workers idle during the commit phase; hand
-	// the leftovers to each Commit's group-arithmetic kernel.
-	prover.SetKernelWorkers(workers / n)
-
-	states := make([]*vc.InstanceState, n)
-	cms := CommitmentsMsg{Items: make([]*vc.Commitment, n)}
-	commitTr, commitCtx := trace.Child(ctx, "vc.commit")
-	defer commitTr.End()
-	if err := vc.ForEach(ctx, n, workers, func(i int) error {
-		isp, ictx := trace.Child(commitCtx, "prover.commit")
-		isp.WithArg("instance", int64(i))
-		defer isp.End()
-		cm, st, err := prover.Commit(ictx, batch.Instances[i])
-		if err != nil {
-			return fmt.Errorf("instance %d: %w", i, err)
-		}
-		cms.Items[i], states[i] = cm, st
-		return nil
-	}); err != nil {
+	// The request was gob-decoded from the peer: Commit rejects malformed
+	// group parameters or ciphertexts as a protocol error the client sees,
+	// rather than panicking inside the commitment kernels.
+	ep := &vc.LocalProver{Prover: prover, Workers: workers}
+	cms, err := ep.Commit(ctx, batch.Req, batch.Instances)
+	if err != nil {
 		_ = cc.send(CommitmentsMsg{Err: err.Error()})
 		return 0, err
 	}
-	commitTr.End()
-	if err := cc.send(cms); err != nil {
+	if err := cc.send(CommitmentsMsg{Items: cms}); err != nil {
 		return 0, err
 	}
 
@@ -659,32 +638,19 @@ func (s *Service) serveBatch(ctx context.Context, cc *timedCodec, prover *vc.Pro
 	// round-trip; it shows up as its own span so wire stalls are visible.
 	awaitTr := trace.Start(ctx, "wire.await_decommit")
 	var decommit DecommitMsg
-	err := cc.recv(&decommit)
+	err = cc.recv(&decommit)
 	awaitTr.End()
 	if err != nil {
 		return 0, fmt.Errorf("transport: reading decommit: %w", err)
 	}
-	if err := prover.HandleDecommit(decommit.Req); err != nil {
-		_ = cc.send(ResponsesMsg{Err: err.Error()})
-		return 0, err
-	}
 	resp := ResponsesMsg{Items: make([]*vc.Response, n)}
-	respondTr, respondCtx := trace.Child(ctx, "vc.respond")
-	defer respondTr.End()
-	if err := vc.ForEach(ctx, n, workers, func(i int) error {
-		isp := trace.Start(respondCtx, "prover.respond").WithArg("instance", int64(i))
-		defer isp.End()
-		r, err := prover.Respond(ctx, states[i])
-		if err != nil {
-			return fmt.Errorf("instance %d: %w", i, err)
-		}
+	if err := ep.Respond(ctx, decommit.Req, func(i int, r *vc.Response) error {
 		resp.Items[i] = r
 		return nil
 	}); err != nil {
 		_ = cc.send(ResponsesMsg{Err: err.Error()})
 		return 0, err
 	}
-	respondTr.End()
 	batchTr.End()
 	resp.Trace = ship()
 	return n, cc.send(resp)

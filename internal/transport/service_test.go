@@ -341,38 +341,6 @@ func TestKeepAliveFreshSeeds(t *testing.T) {
 	}
 }
 
-// TestDistributedLateLegActivation keeps a second prover leg idle through
-// the first batch (one instance, one chunk) and activates it on the second:
-// its first BatchMsg arrives at session-batch 1, which must still carry the
-// commit request the server requires on a connection's first batch.
-func TestDistributedLateLegActivation(t *testing.T) {
-	svc, reg := testService(ServiceOptions{Workers: 2})
-	c1, errCh1 := servicePipe(svc)
-	c2, errCh2 := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	sess, err := NewSession(context.Background(), []net.Conn{c1, c2}, hello, ClientOptions{Seed: []byte("ll")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, xs := range [][]int64{{5}, {1, 2, 3}} {
-		res, err := sess.RunBatch(context.Background(), instances(xs...))
-		if err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
-		checkBatch(t, res, xs)
-	}
-	sess.Close()
-	if err := <-errCh1; err != nil {
-		t.Fatalf("leg 1 server: %v", err)
-	}
-	if err := <-errCh2; err != nil {
-		t.Fatalf("leg 2 server: %v", err)
-	}
-	if got := reg.Counter(MetricSessionErrors).Value(); got != 0 {
-		t.Fatalf("session errors = %d, want 0", got)
-	}
-}
-
 // TestIdleTimeoutReapsConnection parks a keep-alive connection after one
 // batch: the server must reap it at IdleTimeout as a clean end (nil error,
 // transport.idle.closed), not a session failure.
@@ -664,7 +632,7 @@ func TestCacheHitSkipsCompile(t *testing.T) {
 		tc := trace.New(trace.NewRecorder(4096), "verifier")
 		ctx := trace.NewContext(context.Background(), tc)
 		client, errCh := servicePipe(svc)
-		res, err := RunSession(ctx, client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(4))
+		res, err := runSession(ctx, client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(4))
 		client.Close()
 		if serr := <-errCh; serr != nil {
 			t.Fatalf("session %d server: %v", i, serr)
@@ -706,7 +674,7 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 			prog := i % 4
 			hello := Hello{Source: cacheTestSrc(prog), RhoLin: 1, Rho: 1, NoCommitment: true}
 			client, errCh := servicePipe(svc)
-			res, err := RunSession(context.Background(), client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i)))
+			res, err := runSession(context.Background(), client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i)))
 			client.Close()
 			if serr := <-errCh; serr != nil {
 				errs <- fmt.Errorf("session %d server: %w", i, serr)
@@ -751,7 +719,7 @@ func TestAdmissionConcurrentSessions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
-			res, err := RunSession(context.Background(), client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i), int64(i)+1))
+			res, err := runSession(context.Background(), client, hello, ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i), int64(i)+1))
 			client.Close()
 			if serr := <-errCh; serr != nil {
 				errs <- fmt.Errorf("session %d server: %w", i, serr)
@@ -799,7 +767,7 @@ func TestServeDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	res, err := RunSession(context.Background(), conn, hello, ClientOptions{Seed: []byte("sv")}, instances(12))
+	res, err := runSession(context.Background(), conn, hello, ClientOptions{Seed: []byte("sv")}, instances(12))
 	conn.Close()
 	if err != nil || !res.AllAccepted() {
 		t.Fatalf("session over Serve: %v %v", err, res)

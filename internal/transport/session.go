@@ -77,18 +77,10 @@ type sessionLeg struct {
 	cc      *timedCodec
 	version int
 	addr    string // worker name for failure attribution
-	idx     int    // position within Session.legs
-	// mu serializes the wire exchange of one shard on this leg when the
-	// farm drives legs independently (RunBatch instead holds Session.mu and
-	// touches every leg from one goroutine).
-	mu sync.Mutex
-	// per-batch scratch
-	chunk [][]*big.Int
-	cms   []*vc.Commitment
-	resps []*vc.Response
 }
 
-// Session is the verifier side of a (possibly distributed) prover session.
+// Session is the verifier side of a prover session: over one connection,
+// or over several when a farm coordinator drives each one through Leg.
 // NewSession negotiates the wire version and compiles the verifier state
 // once; each RunBatch then proves and verifies one batch. Under wire v2 the
 // connection, the client- and server-side compilations, and the prover's
@@ -100,7 +92,6 @@ type sessionLeg struct {
 // serialized internally.
 type Session struct {
 	mu       sync.Mutex
-	hello    Hello
 	opts     ClientOptions
 	reg      *obs.Registry
 	prog     *compiler.Program
@@ -157,7 +148,6 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 	hello.TraceParent = tc.SpanID()
 
 	sess := &Session{
-		hello:   hello,
 		opts:    opts,
 		reg:     reg,
 		multi:   len(conns) > 1,
@@ -207,7 +197,7 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 		} else if ra := conn.RemoteAddr(); ra != nil {
 			addr = ra.String()
 		}
-		leg := &sessionLeg{conn: conn, cc: newTimedCodec(conn, opts.IOTimeout), addr: addr, idx: i}
+		leg := &sessionLeg{conn: conn, cc: newTimedCodec(conn, opts.IOTimeout), addr: addr}
 		wire := hello
 		if hashFirst {
 			wire.Source = ""
@@ -391,29 +381,22 @@ func (s *Session) Program() *compiler.Program { return s.prog }
 // the batching argument.
 func (s *Session) SetupDuration() time.Duration { return s.verifier.SetupDuration() }
 
-// deriveSeed gives batch b its own deterministic seed from a fixed base;
-// an empty base stays empty (fresh randomness every batch).
-func deriveSeed(base []byte, b int) []byte {
-	if len(base) == 0 {
-		return nil
-	}
-	out := make([]byte, 0, len(base)+4)
-	out = append(out, base...)
-	return append(out, byte(b>>24), byte(b>>16), byte(b>>8), byte(b))
-}
-
-// RunBatch proves and verifies one batch of instances, split contiguously
-// across the session's prover connections. Every batch ships its own
-// commit request: under wire v2 later batches reuse the connection and the
-// negotiated (server-cached) program, but redraw the query seed and the
-// commitment key — reusing the key across decommits would leak the secret
-// vector r. On a session negotiated down to v1, a second RunBatch fails
-// with ErrSingleBatch.
+// RunBatch proves and verifies one batch of instances on the session's
+// prover connection. Every batch ships its own commit request: under wire
+// v2 later batches reuse the connection and the negotiated (server-cached)
+// program, but redraw the query seed and the commitment key — reusing the
+// key across decommits would leak the secret vector r. On a session
+// negotiated down to v1, a second RunBatch fails with ErrSingleBatch. A
+// session over several provers runs its batches through a farm
+// (internal/farm), which drives each leg via Leg.
 func (s *Session) RunBatch(ctx context.Context, batch [][]*big.Int) (res *SessionResult, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrSessionClosed
+	}
+	if len(s.legs) > 1 {
+		return nil, errors.New("transport: a multi-prover session runs batches through a farm")
 	}
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("%w: 0 instances", ErrBatchTooLarge)
@@ -422,144 +405,39 @@ func (s *Session) RunBatch(ctx context.Context, batch [][]*big.Int) (res *Sessio
 		return nil, ErrSingleBatch
 	}
 	defer func() { err = ctxErr(ctx, err) }()
-	for _, leg := range s.legs {
-		defer watch(ctx, leg.conn)()
-	}
+	defer watch(ctx, s.legs[0].conn)()
 	ctx = trace.NewContext(ctx, s.tc)
 	batchTr, ctx := trace.Child(ctx, "transport.batch")
 	batchTr.WithArg("batch", int64(s.batches)).WithArg("instances", int64(len(batch)))
 	defer batchTr.End()
 
-	if s.batches > 0 {
+	// A failed batch counts too: its seed may already be out.
+	b := s.batches
+	s.batches++
+	if b > 0 {
 		// Fresh queries and a fresh commitment key for a fresh batch: the
 		// previous batch's decommit revealed t = r + Σ αᵢqᵢ, so carrying r
-		// over would let the provers solve for it across batches (see
+		// over would let the prover solve for it across batches (see
 		// Verifier.Reseed).
 		reseedTr, reseedCtx := trace.Child(ctx, "vc.reseed")
-		err := s.verifier.Reseed(reseedCtx, deriveSeed(s.opts.Seed, s.batches))
+		err := s.verifier.Reseed(reseedCtx, vc.DeriveSeed(s.opts.Seed, b))
 		reseedTr.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	// Every batch ships its own commit request: the commitment key is
-	// per-batch state, and attaching it to the batch also means a leg left
-	// idle by earlier (smaller) batches receives the key the first time it
-	// is activated.
-	req := s.verifier.Setup()
-
-	// Partition the batch into contiguous chunks, one per prover; a batch
-	// smaller than the prover count leaves the tail legs idle this round.
-	legs := make([]*sessionLeg, 0, len(s.legs))
-	per := (len(batch) + len(s.legs) - 1) / len(s.legs)
-	for i, leg := range s.legs {
-		lo := i * per
-		if lo >= len(batch) {
-			break
-		}
-		leg.chunk = batch[lo:min(lo+per, len(batch))]
-		legs = append(legs, leg)
-	}
-
-	// Stage 1: commit request + inputs to every prover; collect all
-	// commitments before revealing anything further (the soundness
-	// barrier).
-	commitTr := trace.Start(ctx, "wire.commit_exchange")
-	for _, leg := range legs {
-		if err := leg.cc.send(BatchMsg{Req: req, Instances: leg.chunk}); err != nil {
-			return nil, s.legError(leg.idx, err)
-		}
-	}
-	for _, leg := range legs {
-		var cms CommitmentsMsg
-		if err := leg.cc.recv(&cms); err != nil {
-			return nil, s.legError(leg.idx, err)
-		}
-		if cms.Err != "" {
-			return nil, s.legError(leg.idx, &RemoteError{Phase: "commit", Msg: cms.Err})
-		}
-		if len(cms.Items) != len(leg.chunk) {
-			return nil, s.legError(leg.idx, errors.New("transport: commitment count mismatch"))
-		}
-		leg.cms = cms.Items
-	}
-	commitTr.End()
-
-	// Stage 2: decommit to every prover, collect responses.
-	decommitTr := trace.Start(ctx, "vc.decommit")
-	dreq, err := s.verifier.Decommit()
-	decommitTr.End()
+	r, err := vc.Drive(ctx, s.verifier, &legEndpoint{s: s, i: 0}, batch, s.opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	respondTr := trace.Start(ctx, "wire.respond_exchange")
-	for _, leg := range legs {
-		if err := leg.cc.send(DecommitMsg{Req: dreq}); err != nil {
-			return nil, s.legError(leg.idx, err)
-		}
-	}
-	for _, leg := range legs {
-		var resp ResponsesMsg
-		if err := leg.cc.recv(&resp); err != nil {
-			return nil, s.legError(leg.idx, err)
-		}
-		if resp.Err != "" {
-			return nil, s.legError(leg.idx, &RemoteError{Phase: "respond", Msg: resp.Err})
-		}
-		if len(resp.Items) != len(leg.chunk) {
-			return nil, s.legError(leg.idx, errors.New("transport: response count mismatch"))
-		}
-		leg.resps = resp.Items
-		// Stitch this prover's spans into our timeline (records from any
-		// other trace are dropped by Import).
-		s.tc.Import(resp.Trace)
-	}
-	respondTr.End()
-
-	// Stage 3: verify everything — in parallel over opts.Workers; the
-	// verifier's state is read-only after Decommit.
-	type flat struct {
-		in   []*big.Int
-		cm   *vc.Commitment
-		resp *vc.Response
-	}
-	items := make([]flat, 0, len(batch))
-	for _, leg := range legs {
-		for i := range leg.chunk {
-			items = append(items, flat{leg.chunk[i], leg.cms[i], leg.resps[i]})
-		}
-	}
-	out := &SessionResult{
-		Accepted: make([]bool, len(items)),
-		Reasons:  make([]string, len(items)),
-		Outputs:  make([][]*big.Int, len(items)),
-	}
-	phases := s.reg.HistogramVec(vc.MetricPhase, vc.LabelPhase, vc.LabelBackend)
-	verifyTr, verifyCtx := trace.Child(ctx, "vc.verify_stage")
-	defer verifyTr.End()
-	if err := vc.ForEach(ctx, len(items), s.opts.Workers, func(i int) error {
-		vsp := trace.Start(verifyCtx, "vc.verify").WithArg("instance", int64(i))
-		defer vsp.End()
-		t0 := time.Now()
-		ok, reason := s.verifier.VerifyInstance(ctx, items[i].in, items[i].cm, items[i].resp)
-		phases.With("verify", s.backend).Observe(time.Since(t0))
-		out.Accepted[i] = ok
-		out.Reasons[i] = reason
-		out.Outputs[i] = items[i].cm.Output
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	verifyTr.End()
 	accepted := 0
-	for _, ok := range out.Accepted {
+	for _, ok := range r.Accepted {
 		if ok {
 			accepted++
 		}
 	}
-	s.log.InfoContext(ctx, "batch verified", "batch", s.batches, "instances", len(items), "accepted", accepted)
-	s.batches++
-	return out, nil
+	s.log.InfoContext(ctx, "batch verified", "batch", b, "instances", len(batch), "accepted", accepted)
+	return &SessionResult{Accepted: r.Accepted, Reasons: r.Reasons, Outputs: r.Outputs}, nil
 }
 
 // finish ends the session's spans exactly once; callers hold no lock.
@@ -586,31 +464,4 @@ func (s *Session) Close() error {
 	}
 	s.finish()
 	return nil
-}
-
-// RunSession drives the verifier side of a single batch over an established
-// connection. The protocol parameters come from hello, which both sides
-// see; the verifier's secret randomness does not.
-func RunSession(ctx context.Context, conn net.Conn, hello Hello, opts ClientOptions, batch [][]*big.Int) (*SessionResult, error) {
-	return RunSessionDistributed(ctx, []net.Conn{conn}, hello, opts, batch)
-}
-
-// RunSessionDistributed splits one batch across several prover connections —
-// the paper's distributed prover (§5.1: "the prover can be distributed over
-// multiple machines, with each machine computing a subset of a batch").
-// Binding is preserved because the query seed is revealed only after every
-// prover's commitments have arrived. Cancelling ctx closes the connections
-// and returns ctx.Err(). For multiple batches on one connection, use
-// NewSession directly.
-func RunSessionDistributed(ctx context.Context, conns []net.Conn, hello Hello, opts ClientOptions, batch [][]*big.Int) (*SessionResult, error) {
-	sess, err := NewSession(ctx, conns, hello, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	res, err := sess.RunBatch(ctx, batch)
-	if err != nil {
-		return nil, ctxErr(ctx, err)
-	}
-	return res, nil
 }

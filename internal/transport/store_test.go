@@ -44,7 +44,7 @@ func TestStoreWarmRestart(t *testing.T) {
 
 	svc1, reg1 := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client1, errCh1 := servicePipe(svc1)
-	res, err := RunSession(context.Background(), client1, hello,
+	res, err := runSession(context.Background(), client1, hello,
 		ClientOptions{Seed: []byte("w1"), Redial: redialTo(svc1)}, instances(10))
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	svc2, reg2 := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	ctx2, tc2 := tracedContext(t)
 	client2, errCh2 := servicePipe(svc2)
-	res, err = RunSession(ctx2, client2, hello,
+	res, err = runSession(ctx2, client2, hello,
 		ClientOptions{Seed: []byte("w2"), Redial: redialTo(svc2)}, instances(7))
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestHashFirstMemoryWarm(t *testing.T) {
 	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
 	for i, want := range []int64{0, 1} {
 		client, errCh := servicePipe(svc)
-		res, err := RunSession(context.Background(), client, hello,
+		res, err := runSession(context.Background(), client, hello,
 			ClientOptions{Seed: []byte{byte(i)}, Redial: redialTo(svc)}, instances(5))
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
@@ -219,7 +219,7 @@ func TestConcurrentColdCompileSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
-			res, err := RunSession(context.Background(), client, hello,
+			res, err := runSession(context.Background(), client, hello,
 				ClientOptions{Seed: []byte{byte(i)}, Redial: redialTo(svc)}, instances(int64(i+1)))
 			if err == nil && !res.AllAccepted() {
 				err = errors.New("batch rejected")
@@ -256,7 +256,7 @@ func TestConcurrentColdDiskLoadSingleflight(t *testing.T) {
 
 	seed, _ := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client0, errCh0 := servicePipe(seed)
-	if _, err := RunSession(context.Background(), client0, hello,
+	if _, err := runSession(context.Background(), client0, hello,
 		ClientOptions{Seed: []byte("s"), Redial: redialTo(seed)}, instances(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestConcurrentColdDiskLoadSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
-			res, err := RunSession(context.Background(), client, hello,
+			res, err := runSession(context.Background(), client, hello,
 				ClientOptions{Seed: []byte{byte(i)}, Redial: redialTo(svc)}, instances(int64(i+1)))
 			if err == nil && !res.AllAccepted() {
 				err = errors.New("batch rejected")
@@ -312,7 +312,7 @@ func TestStoreCorruptBundleRecompiles(t *testing.T) {
 
 	seed, _ := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client0, errCh0 := servicePipe(seed)
-	if _, err := RunSession(context.Background(), client0, hello,
+	if _, err := runSession(context.Background(), client0, hello,
 		ClientOptions{Seed: []byte("s"), Redial: redialTo(seed)}, instances(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestStoreCorruptBundleRecompiles(t *testing.T) {
 
 	svc, reg := testService(ServiceOptions{Workers: 2, Store: st})
 	client, errCh := servicePipe(svc)
-	res, err := RunSession(context.Background(), client, hello,
+	res, err := runSession(context.Background(), client, hello,
 		ClientOptions{Seed: []byte("c"), Redial: redialTo(svc)}, instances(9))
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestMaxSourceBytes(t *testing.T) {
 		client, errCh := servicePipe(svc)
 		h := hello
 		h.Version = ProtocolV2 // full source rides in the hello
-		_, err := RunSession(context.Background(), client, h, ClientOptions{}, instances(2))
+		_, err := runSession(context.Background(), client, h, ClientOptions{}, instances(2))
 		var rErr *RemoteError
 		if !errors.As(err, &rErr) || rErr.Phase != "hello" {
 			t.Fatalf("client err = %v, want hello-phase RemoteError", err)
@@ -381,7 +381,7 @@ func TestMaxSourceBytes(t *testing.T) {
 	t.Run("upload", func(t *testing.T) {
 		svc, _ := testService(ServiceOptions{Workers: 1, MaxSourceBytes: 16})
 		client, errCh := servicePipe(svc)
-		_, err := RunSession(context.Background(), client, hello,
+		_, err := runSession(context.Background(), client, hello,
 			ClientOptions{Redial: redialTo(svc)}, instances(2))
 		var rErr *RemoteError
 		if !errors.As(err, &rErr) || rErr.Phase != "hello" {

@@ -57,7 +57,7 @@ func TestTracePropagation(t *testing.T) {
 	go func() { errCh <- ServeConn(context.Background(), server, ServerOptions{Workers: 2}) }()
 	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
 	batch := [][]*big.Int{{big.NewInt(10)}, {big.NewInt(3)}}
-	res, err := RunSession(ctx, client, hello, ClientOptions{Seed: []byte("tr")}, batch)
+	res, err := runSession(ctx, client, hello, ClientOptions{Seed: []byte("tr")}, batch)
 	client.Close()
 	if serr := <-errCh; serr != nil {
 		t.Fatalf("server: %v", serr)
@@ -194,7 +194,7 @@ func TestTraceLegacyPeer(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() { errCh <- serveLegacy(server) }()
 	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	res, err := RunSession(ctx, client, hello, ClientOptions{Seed: []byte("lg")}, [][]*big.Int{{big.NewInt(8)}})
+	res, err := runSession(ctx, client, hello, ClientOptions{Seed: []byte("lg")}, [][]*big.Int{{big.NewInt(8)}})
 	client.Close()
 	if serr := <-errCh; serr != nil {
 		t.Fatalf("legacy server: %v", serr)
@@ -269,7 +269,7 @@ func TestTraceDisconnectNoOrphans(t *testing.T) {
 		// Hang up instead of answering the decommit.
 	}()
 	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	_, err := RunSession(ctx, client, hello, ClientOptions{Seed: []byte("dc")}, [][]*big.Int{{big.NewInt(2)}})
+	_, err := runSession(ctx, client, hello, ClientOptions{Seed: []byte("dc")}, [][]*big.Int{{big.NewInt(2)}})
 	client.Close()
 	<-done
 	if err == nil {

@@ -28,8 +28,8 @@
 // and their prover precomputations live in an LRU shared across sessions,
 // and a service-wide admission semaphore bounds how many sessions compute
 // concurrently. The verifier side is a Session (NewSession / RunBatch /
-// Close); RunSession and RunSessionDistributed remain as single-batch
-// conveniences on top of it.
+// Close) driving its prover through vc.Drive; a farm (internal/farm)
+// drives a session over several provers leg by leg.
 //
 // Both ends are context-aware: cancelling the context closes the
 // connection, unblocking any in-flight read or write, and per-message I/O

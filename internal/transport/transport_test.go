@@ -24,12 +24,22 @@ y = x - 3;
 sq = x * x;
 `
 
+// runSession opens a session over conn, runs one batch and closes it.
+func runSession(ctx context.Context, conn net.Conn, hello Hello, opts ClientOptions, batch [][]*big.Int) (*SessionResult, error) {
+	sess, err := NewSession(ctx, []net.Conn{conn}, hello, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	return sess.RunBatch(ctx, batch)
+}
+
 func runPipeSession(t *testing.T, hello Hello, opts ClientOptions, batch [][]*big.Int) (*SessionResult, error) {
 	t.Helper()
 	client, server := net.Pipe()
 	errCh := make(chan error, 1)
 	go func() { errCh <- ServeConn(context.Background(), server, ServerOptions{Workers: 2}) }()
-	res, err := RunSession(context.Background(), client, hello, opts, batch)
+	res, err := runSession(context.Background(), client, hello, opts, batch)
 	client.Close()
 	<-errCh
 	return res, err
@@ -107,7 +117,7 @@ func TestSessionBadProgram(t *testing.T) {
 	hello := Hello{Source: "not a program", RhoLin: 1, Rho: 1, NoCommitment: true}
 	// The client compiles the program itself before dialing, so it fails
 	// locally without touching the wire.
-	if _, err := RunSession(context.Background(), nil, hello, ClientOptions{}, [][]*big.Int{{big.NewInt(1)}}); err == nil {
+	if _, err := runSession(context.Background(), nil, hello, ClientOptions{}, [][]*big.Int{{big.NewInt(1)}}); err == nil {
 		t.Fatal("bad program accepted by client")
 	}
 	// A server fed the same hello raw reports the compile failure in its ack
@@ -138,7 +148,7 @@ func TestSessionOversizedBatch(t *testing.T) {
 	serverErr := make(chan error, 1)
 	go func() { serverErr <- ServeConn(context.Background(), server, ServerOptions{MaxBatch: 1}) }()
 	batch := [][]*big.Int{{big.NewInt(1)}, {big.NewInt(2)}}
-	_, err := RunSession(context.Background(), client, hello, ClientOptions{Seed: []byte("x")}, batch)
+	_, err := runSession(context.Background(), client, hello, ClientOptions{Seed: []byte("x")}, batch)
 	client.Close()
 	// The client sees the rejection as a typed commit-phase failure naming
 	// the batch bound; the server reports the sentinel and survives.
@@ -166,7 +176,7 @@ func TestSessionMalformedHello(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Client-side validation rejects before anything hits the wire.
-			if _, err := RunSessionDistributed(context.Background(), []net.Conn{nil}, tc.hello, ClientOptions{}, nil); !errors.Is(err, ErrMalformedHello) {
+			if _, err := runSession(context.Background(), nil, tc.hello, ClientOptions{}, nil); !errors.Is(err, ErrMalformedHello) {
 				t.Fatalf("client validation err = %v, want ErrMalformedHello", err)
 			}
 			// A server receiving it raw reports the sentinel and survives.
@@ -306,7 +316,7 @@ func TestRunSessionContextCancel(t *testing.T) {
 	clientErr := make(chan error, 1)
 	go func() {
 		hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-		_, err := RunSession(ctx, client, hello, ClientOptions{Seed: []byte("cc")}, [][]*big.Int{{big.NewInt(1)}})
+		_, err := runSession(ctx, client, hello, ClientOptions{Seed: []byte("cc")}, [][]*big.Int{{big.NewInt(1)}})
 		clientErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -318,44 +328,6 @@ func TestRunSessionContextCancel(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled client never returned")
-	}
-}
-
-func TestDistributedProvers(t *testing.T) {
-	// Three provers each take a slice of the batch (the paper's
-	// multi-machine prover); one verifier checks everything.
-	const nProvers = 3
-	conns := make([]net.Conn, nProvers)
-	for i := range conns {
-		client, server := net.Pipe()
-		conns[i] = client
-		go func() { _ = ServeConn(context.Background(), server, ServerOptions{}) }()
-	}
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-	batch := make([][]*big.Int, 7) // uneven split: 3+3+1
-	for i := range batch {
-		batch[i] = []*big.Int{big.NewInt(int64(i))}
-	}
-	res, err := RunSessionDistributed(context.Background(), conns, hello, ClientOptions{Seed: []byte("d")}, batch)
-	for _, c := range conns {
-		c.Close()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Accepted) != 7 || !res.AllAccepted() {
-		t.Fatalf("distributed batch failed: %v", res.Reasons)
-	}
-	for i := range batch {
-		if res.Outputs[i][0].Int64() != int64(i)-3 {
-			t.Fatalf("instance %d output %v", i, res.Outputs[i])
-		}
-	}
-}
-
-func TestDistributedNoConns(t *testing.T) {
-	if _, err := RunSessionDistributed(context.Background(), nil, Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}, ClientOptions{}, [][]*big.Int{{big.NewInt(1)}}); err == nil {
-		t.Fatal("no connections accepted")
 	}
 }
 
@@ -378,7 +350,7 @@ func TestSessionOverTCP(t *testing.T) {
 	}
 	defer conn.Close()
 	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-	res, err := RunSession(context.Background(), conn, hello, ClientOptions{Seed: []byte("tcp"), IOTimeout: 30 * time.Second}, [][]*big.Int{{big.NewInt(8)}})
+	res, err := runSession(context.Background(), conn, hello, ClientOptions{Seed: []byte("tcp"), IOTimeout: 30 * time.Second}, [][]*big.Int{{big.NewInt(8)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"zaatar/internal/compiler"
@@ -26,8 +24,8 @@ type BatchMetrics struct {
 	// Commit is the wall-clock of pipeline stage 1: solve, build proofs,
 	// commit — parallel across instances, barrier at the end.
 	Commit time.Duration
-	// Decommit is stage 2: building and exchanging the decommit message
-	// (runs only after every commitment; the soundness barrier).
+	// Decommit is stage 2: building the decommit message (runs only after
+	// every commitment; the soundness barrier).
 	Decommit time.Duration
 	// Respond is the wall-clock of stage 3: answering queries, parallel,
 	// streaming finished instances into stage 4.
@@ -46,8 +44,8 @@ type BatchMetrics struct {
 	Total time.Duration
 }
 
-// Metric names exported to the obs registry by RunBatch, documented in
-// docs/PROTOCOL.md ("Pipeline stages").
+// Metric names exported to the obs registry by Drive and RunBatch,
+// documented in docs/PROTOCOL.md ("Pipeline stages").
 const (
 	MetricBatches      = "vc.batches"   // counter: batches driven
 	MetricInstances    = "vc.instances" // counter: instances proved
@@ -109,27 +107,15 @@ func (r *BatchResult) VerifierSetup() time.Duration { return r.Metrics.Setup }
 // the total per-instance verification time across the batch.
 func (r *BatchResult) VerifierPerInstance() time.Duration { return r.Metrics.VerifyTotal }
 
-// Test hooks, nil outside tests. testHookAfterCommit runs after each
-// instance's commitment is produced (and may tamper with it);
-// testHookPreDecommit runs at the barrier, after every commitment and
-// before the decommit is built.
-var (
-	testHookAfterCommit func(i int, cm *Commitment)
-	testHookPreDecommit func()
-)
+// testHookAfterCommit, nil outside tests, runs after each instance's
+// commitment is produced by a LocalProver (and may tamper with it).
+var testHookAfterCommit func(i int, cm *Commitment)
 
 // RunBatch drives the full protocol for a batch of instances of one
-// computation as a staged pipeline, spreading the prover's work over
-// cfg.Workers goroutines (the paper's distributed prover; Figure 6):
-//
-//	stage 1  Commit          parallel, barrier (soundness: all commitments
-//	                         precede the query seed)
-//	stage 2  Decommit        single exchange
-//	stage 3  Respond         parallel, streams each finished instance ↓
-//	stage 4  VerifyInstance  parallel, overlapped with stage 3
-//
-// Cancelling ctx aborts promptly between per-instance steps and surfaces
-// ctx.Err().
+// computation in process: a fresh verifier, and a LocalProver spreading
+// the prover's work over cfg.Workers goroutines (the paper's distributed
+// prover; Figure 6), run through Drive as one round. Cancelling ctx aborts
+// promptly between per-instance steps and surfaces ctx.Err().
 func RunBatch(ctx context.Context, prog *compiler.Program, cfg Config, inputs [][]*big.Int) (*BatchResult, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("vc: empty batch")
@@ -156,9 +142,6 @@ func RunBatch(ctx context.Context, prog *compiler.Program, cfg Config, inputs []
 	if err != nil {
 		return nil, err
 	}
-	if err := prover.HandleCommitRequest(verifier.Setup()); err != nil {
-		return nil, err
-	}
 	setupTr.End()
 	// The labeled per-phase view: same wall-clock numbers as the vc.* span
 	// histograms, broken out by {phase, backend} for per-tenant attribution.
@@ -166,169 +149,15 @@ func RunBatch(ctx context.Context, prog *compiler.Program, cfg Config, inputs []
 	backend := verifier.Backend()
 	phases.With("setup", backend).Observe(setupSpan.End())
 
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	beta := len(inputs)
-	// Small batches can't fill the pool with instance-level parallelism
-	// alone; give each Commit's inner kernel the leftover workers.
-	prover.SetKernelWorkers(workers / beta)
-	res := &BatchResult{
-		Accepted:    make([]bool, beta),
-		Reasons:     make([]string, beta),
-		Outputs:     make([][]*big.Int, beta),
-		ProverTimes: make([]ProverTimes, beta),
-		Metrics:     BatchMetrics{Instances: beta, Workers: workers, Setup: verifier.SetupDuration()},
-	}
-	commitments := make([]*Commitment, beta)
-	states := make([]*InstanceState, beta)
-	responses := make([]*Response, beta)
-
-	// Stage 1 (parallel, barrier): solve, build proofs, commit. The barrier
-	// is soundness-critical — the query seed is revealed only after every
-	// instance's commitment exists (binding; §2.2).
-	proverStart := time.Now()
-	commitSpan := reg.StartSpan(MetricSpanCommit)
-	commitTr, commitCtx := trace.Child(ctx, "vc.commit")
-	defer commitTr.End()
-	if err := ForEach(ctx, beta, workers, func(i int) error {
-		isp, ictx := trace.Child(commitCtx, "prover.commit")
-		isp.WithArg("instance", int64(i))
-		defer isp.End()
-		cm, st, err := prover.Commit(ictx, inputs[i])
-		if err != nil {
-			return fmt.Errorf("instance %d: %w", i, err)
-		}
-		if testHookAfterCommit != nil {
-			testHookAfterCommit(i, cm)
-		}
-		commitments[i], states[i] = cm, st
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	commitTr.End()
-	res.Metrics.Commit = commitSpan.End()
-	phases.With("commit", backend).Observe(res.Metrics.Commit)
-
-	// Stage 2: the verifier reveals queries only after all commitments.
-	if testHookPreDecommit != nil {
-		testHookPreDecommit()
-	}
-	decommitSpan := reg.StartSpan(MetricSpanDecommit)
-	decommitTr := trace.Start(ctx, "vc.decommit")
-	defer decommitTr.End()
-	dec, err := verifier.Decommit()
+	local := &LocalProver{Prover: prover, Workers: cfg.Workers}
+	res, err := Drive(ctx, verifier, local, inputs, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := prover.HandleDecommit(dec); err != nil {
-		return nil, err
-	}
-	decommitTr.End()
-	res.Metrics.Decommit = decommitSpan.End()
-	phases.With("decommit", backend).Observe(res.Metrics.Decommit)
-
-	// Stages 3+4: answer queries and verify. The pipelined path streams
-	// each responded instance through a bounded channel into a parallel
-	// verification stage, overlapping prover answers with verifier checks;
-	// the serial path (NoPipeline) preserves the pre-pipeline behavior —
-	// respond everything, then verify in one loop — as an ablation and
-	// equivalence reference.
-	overlapStart := time.Now()
-	respondTr, respondCtx := trace.Child(ctx, "vc.respond")
-	defer respondTr.End()
-	respond := func(i int) error {
-		isp := trace.Start(respondCtx, "prover.respond").WithArg("instance", int64(i))
-		defer isp.End()
-		r, err := prover.Respond(ctx, states[i])
-		if err != nil {
-			return fmt.Errorf("instance %d: %w", i, err)
-		}
-		responses[i] = r
-		return nil
-	}
-	verifyOne := func(i int) {
-		vsp := trace.Start(ctx, "vc.verify").WithArg("instance", int64(i))
-		defer vsp.End()
-		t0 := time.Now()
-		ok, reason := verifier.VerifyInstance(ctx, inputs[i], commitments[i], responses[i])
-		d := time.Since(t0)
-		reg.Histogram(MetricSpanVerify).Observe(d)
-		phases.With("verify", backend).Observe(d)
-		atomic.AddInt64((*int64)(&res.Metrics.VerifyTotal), int64(d))
-		res.Accepted[i] = ok
-		res.Reasons[i] = reason
-		res.Outputs[i] = commitments[i].Output
-	}
-
-	if cfg.NoPipeline {
-		respondSpan := reg.StartSpan(MetricSpanRespond)
-		if err := ForEach(ctx, beta, workers, respond); err != nil {
-			return nil, err
-		}
-		respondTr.End()
-		res.Metrics.Respond = respondSpan.End()
-		phases.With("respond", backend).Observe(res.Metrics.Respond)
-		res.Metrics.ProverWall = time.Since(proverStart)
-		for i := range inputs {
-			verifyOne(i)
-		}
-	} else {
-		ready := make(chan int, 2*workers)
-		var vwg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			vwg.Add(1)
-			go func() {
-				defer vwg.Done()
-				for i := range ready {
-					if ctx.Err() != nil {
-						continue // drain without verifying; the batch errors out
-					}
-					verifyOne(i)
-				}
-			}()
-		}
-		respondSpan := reg.StartSpan(MetricSpanRespond)
-		rerr := ForEach(ctx, beta, workers, func(i int) error {
-			if err := respond(i); err != nil {
-				return err
-			}
-			select {
-			case ready <- i:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-		respondTr.End()
-		res.Metrics.Respond = respondSpan.End()
-		phases.With("respond", backend).Observe(res.Metrics.Respond)
-		res.Metrics.ProverWall = time.Since(proverStart)
-		close(ready)
-		vwg.Wait()
-		if rerr != nil {
-			return nil, rerr
-		}
-	}
-	res.Metrics.RespondVerify = time.Since(overlapStart)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	for i := range inputs {
-		res.ProverTimes[i] = states[i].Times
-	}
+	res.Metrics.Setup = verifier.SetupDuration()
+	res.ProverTimes = local.Times()
 	res.Metrics.Total = batchSpan.End()
 	phases.With("batch", backend).Observe(res.Metrics.Total)
-	reg.Counter(MetricBatches).Inc()
-	reg.Counter(MetricBackendBatches + verifier.Backend()).Inc()
-	reg.Counter(MetricInstances).Add(int64(beta))
-	for _, ok := range res.Accepted {
-		if !ok {
-			reg.Counter(MetricRejected).Inc()
-		}
-	}
+	reg.Counter(MetricBackendBatches + backend).Inc()
 	return res, nil
 }

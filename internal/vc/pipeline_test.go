@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"zaatar/internal/obs"
+	"zaatar/internal/par"
 )
 
 // Regression test for the old parallelFor, which kept dispatching every
@@ -18,7 +19,7 @@ func TestForEachStopsAfterFirstError(t *testing.T) {
 	const n, workers = 100, 4
 	boom := errors.New("boom")
 	var calls atomic.Int32
-	err := ForEach(context.Background(), n, workers, func(i int) error {
+	err := par.ForEach(context.Background(), n, workers, func(i int) error {
 		calls.Add(1)
 		if i == 0 {
 			return boom
@@ -37,7 +38,7 @@ func TestForEachStopsAfterFirstError(t *testing.T) {
 func TestForEachSerialStopsAfterFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var calls int
-	err := ForEach(context.Background(), 10, 1, func(i int) error {
+	err := par.ForEach(context.Background(), 10, 1, func(i int) error {
 		calls++
 		if i == 3 {
 			return boom
@@ -56,7 +57,7 @@ func TestForEachContextCancel(t *testing.T) {
 	var calls atomic.Int32
 	done := make(chan error, 1)
 	go func() {
-		done <- ForEach(ctx, 50, 2, func(i int) error {
+		done <- par.ForEach(ctx, 50, 2, func(i int) error {
 			if calls.Add(1) == 1 {
 				close(started)
 				<-release
@@ -83,7 +84,7 @@ func TestForEachContextCancel(t *testing.T) {
 func TestForEachCompletesAll(t *testing.T) {
 	var calls atomic.Int32
 	seen := make([]atomic.Bool, 64)
-	if err := ForEach(context.Background(), 64, 8, func(i int) error {
+	if err := par.ForEach(context.Background(), 64, 8, func(i int) error {
 		calls.Add(1)
 		seen[i].Store(true)
 		return nil
@@ -186,8 +187,19 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// The soundness barrier: the decommit (query seed reveal) must run only
-// after every instance's commitment, at any worker count.
+// barrierEndpoint runs check as the prover is handed the decommit.
+type barrierEndpoint struct {
+	Endpoint
+	check func()
+}
+
+func (e barrierEndpoint) Respond(ctx context.Context, dreq *DecommitRequest, emit func(int, *Response) error) error {
+	e.check()
+	return e.Endpoint.Respond(ctx, dreq, emit)
+}
+
+// The soundness barrier: the decommit (query seed reveal) must reach the
+// prover only after every instance's commitment, at any worker count.
 func TestDecommitBarrierAfterAllCommitments(t *testing.T) {
 	prog, cfg := testSetup(t, Zaatar, false)
 	cfg.Workers = 4
@@ -199,17 +211,22 @@ func TestDecommitBarrierAfterAllCommitments(t *testing.T) {
 	var committed atomic.Int32
 	var barrierChecks atomic.Int32
 	testHookAfterCommit = func(int, *Commitment) { committed.Add(1) }
-	testHookPreDecommit = func() {
+	defer func() { testHookAfterCommit = nil }()
+	v, err := NewVerifier(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProver(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := barrierEndpoint{Endpoint: &LocalProver{Prover: p, Workers: cfg.Workers}, check: func() {
 		barrierChecks.Add(1)
 		if c := committed.Load(); int(c) != beta {
 			t.Errorf("decommit reached with %d of %d commitments", c, beta)
 		}
-	}
-	defer func() {
-		testHookAfterCommit = nil
-		testHookPreDecommit = nil
-	}()
-	res, err := RunBatch(context.Background(), prog, cfg, batch)
+	}}
+	res, err := Drive(context.Background(), v, ep, batch, cfg.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"zaatar/internal/elgamal"
 	"zaatar/internal/field"
 	"zaatar/internal/obs/trace"
+	"zaatar/internal/par"
 	"zaatar/internal/pcp"
 )
 
@@ -302,4 +303,80 @@ func (p *Prover) Respond(ctx context.Context, st *InstanceState) (*Response, err
 	}
 	st.Times.Answer = time.Since(start)
 	return resp, nil
+}
+
+// LocalProver is the in-process Endpoint: a Prover whose commit and
+// respond loops spread a round's instances over Workers goroutines, each
+// instance under its own prover.commit / prover.respond span inside the
+// round's vc.commit / vc.respond span. RunBatch drives it directly, and
+// transport.Service runs the same loops for every wire batch it serves.
+type LocalProver struct {
+	Prover  *Prover
+	Workers int
+
+	states []*InstanceState
+}
+
+// Commit installs req (a nil req keeps the previous round's request) and
+// commits every instance.
+func (e *LocalProver) Commit(ctx context.Context, req *CommitRequest, instances [][]*big.Int) ([]*Commitment, error) {
+	workers := max(e.Workers, 1)
+	commitTr, commitCtx := trace.Child(ctx, "vc.commit")
+	defer commitTr.End()
+	if req != nil {
+		if err := e.Prover.HandleCommitRequest(req); err != nil {
+			return nil, err
+		}
+	}
+	// Small batches can't fill the pool with instance-level parallelism
+	// alone; give each Commit's inner kernel the leftover workers.
+	e.Prover.SetKernelWorkers(workers / max(len(instances), 1))
+	cms := make([]*Commitment, len(instances))
+	e.states = make([]*InstanceState, len(instances))
+	err := par.ForEach(ctx, len(instances), workers, func(i int) error {
+		isp, ictx := trace.Child(commitCtx, "prover.commit")
+		isp.WithArg("instance", int64(i))
+		defer isp.End()
+		cm, st, err := e.Prover.Commit(ictx, instances[i])
+		if err != nil {
+			return fmt.Errorf("instance %d: %w", i, err)
+		}
+		if testHookAfterCommit != nil {
+			testHookAfterCommit(i, cm)
+		}
+		cms[i], e.states[i] = cm, st
+		return nil
+	})
+	return cms, err
+}
+
+// Respond regenerates the queries from dreq and answers every committed
+// instance, emitting each response as soon as it is ready.
+func (e *LocalProver) Respond(ctx context.Context, dreq *DecommitRequest, emit func(int, *Response) error) error {
+	if dreq == nil || e.states == nil {
+		return errPhase
+	}
+	respondTr, respondCtx := trace.Child(ctx, "vc.respond")
+	defer respondTr.End()
+	if err := e.Prover.HandleDecommit(dreq); err != nil {
+		return err
+	}
+	return par.ForEach(ctx, len(e.states), max(e.Workers, 1), func(i int) error {
+		isp := trace.Start(respondCtx, "prover.respond").WithArg("instance", int64(i))
+		defer isp.End()
+		r, err := e.Prover.Respond(ctx, e.states[i])
+		if err != nil {
+			return fmt.Errorf("instance %d: %w", i, err)
+		}
+		return emit(i, r)
+	})
+}
+
+// Times reports the last round's per-instance prover cost breakdown.
+func (e *LocalProver) Times() []ProverTimes {
+	out := make([]ProverTimes, len(e.states))
+	for i, st := range e.states {
+		out[i] = st.Times
+	}
+	return out
 }
