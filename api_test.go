@@ -2,10 +2,12 @@ package zaatar
 
 import (
 	"context"
+	"log/slog"
 	"math/big"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,8 +41,8 @@ func TestServeAndDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if got := client.WireVersion(); got != transport.MaxProtocolVersion {
-		t.Fatalf("wire version %d, want %d", got, transport.MaxProtocolVersion)
+	if got := client.WireVersion(); got != transport.ProtocolVersion {
+		t.Fatalf("wire version %d, want %d", got, transport.ProtocolVersion)
 	}
 	if client.Program().NumInputs() != 1 {
 		t.Fatalf("program shape: %d inputs", client.Program().NumInputs())
@@ -145,11 +147,72 @@ func TestServeWithStoreWarmRestart(t *testing.T) {
 	}
 }
 
+// gatedListener calls gate before every Write on each connection it
+// accepts.
+type gatedListener struct {
+	net.Listener
+	gate func()
+}
+
+func (l gatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return gatedConn{c, l.gate}, nil
+}
+
+type gatedConn struct {
+	net.Conn
+	gate func()
+}
+
+func (c gatedConn) Write(p []byte) (int, error) {
+	c.gate()
+	return c.Conn.Write(p)
+}
+
+// servedHandler is a slog handler that closes served at a service's first
+// "batch served" record, which the service logs after counting the batch.
+type servedHandler struct {
+	once   *sync.Once
+	served chan struct{}
+}
+
+func newServedHandler() servedHandler {
+	return servedHandler{once: new(sync.Once), served: make(chan struct{})}
+}
+
+func (h servedHandler) signal()                                  { h.once.Do(func() { close(h.served) }) }
+func (h servedHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h servedHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h servedHandler) WithGroup(string) slog.Handler            { return h }
+
+func (h servedHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "batch served" {
+		h.signal()
+	}
+	return nil
+}
+
 // TestDialMultiAddress: a comma-separated Dial is a static-routed farm.
 // One batch is split across both servers; once one server is closed, the
 // next batches still verify, its shards requeued onto the survivor.
 func TestDialMultiAddress(t *testing.T) {
 	src := `input x : int32; output y : int32; y = x - 3;`
+	// For a program this small, work stealing could let leg 0 run every
+	// shard before leg 1 pops one. Once the session is open, server 0
+	// holds back its first reply until server 1 has served a batch; leg 1
+	// always pops its own preferred shard first, so this cannot deadlock.
+	// A server counts a batch only after its last reply, so the check
+	// below also waits for each server's first "batch served" record.
+	served := []servedHandler{newServedHandler(), newServedHandler()}
+	var armed atomic.Bool
+	gate := func() {
+		if armed.Load() {
+			<-served[1].served
+		}
+	}
 	var addrs []string
 	var regs []*obs.Registry
 	var stops []func()
@@ -158,10 +221,14 @@ func TestDialMultiAddress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			ln = gatedListener{ln, gate}
+		}
 		reg := obs.NewRegistry()
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
-		go func() { done <- Serve(ctx, ln, WithServerWorkers(1), WithServerMetrics(reg)) }()
+		logger := slog.New(served[i])
+		go func() { done <- Serve(ctx, ln, WithServerWorkers(1), WithServerMetrics(reg), WithServerLogger(logger)) }()
 		var once sync.Once
 		stop := func() {
 			once.Do(func() {
@@ -176,6 +243,7 @@ func TestDialMultiAddress(t *testing.T) {
 		t.Cleanup(stop)
 		addrs, regs, stops = append(addrs, ln.Addr().String()), append(regs, reg), append(stops, stop)
 	}
+	t.Cleanup(served[1].signal) // never leave server 0 parked, whatever happened
 	creg := obs.NewRegistry()
 	client, err := Dial(context.Background(), strings.Join(addrs, ","), src,
 		WithParams(2, 2), WithoutCommitment(), WithSeed([]byte("multi")), WithMetrics(creg))
@@ -183,6 +251,7 @@ func TestDialMultiAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	armed.Store(true) // the handshake is over: what follows are batches
 	run := func() {
 		t.Helper()
 		batch := make([][]*big.Int, 8)
@@ -204,6 +273,10 @@ func TestDialMultiAddress(t *testing.T) {
 	}
 	run()
 	for i, reg := range regs {
+		select {
+		case <-served[i].served:
+		case <-time.After(10 * time.Second):
+		}
 		if got := reg.Counter(transport.MetricServedBatches).Value(); got < 1 {
 			t.Fatalf("server %d served %d shards, want ≥ 1", i, got)
 		}

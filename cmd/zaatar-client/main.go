@@ -13,9 +13,9 @@
 //
 //	zaatar-client -connect host1:7001,host2:7001 -src prog.zr -inputs "10; 20; 30; 40"
 //
-// With -batches N the same connection carries the batch N times (wire
-// protocol v2 keep-alive), printing the per-batch wall time — the first
-// batch pays the session setup, the rest amortize it away.
+// With -batches N the same connection carries the batch N times
+// (keep-alive), printing the per-batch wall time — the first batch pays
+// the session setup, the rest amortize it away.
 package main
 
 import (
@@ -43,8 +43,7 @@ func main() {
 		rhoLin   = flag.Int("rholin", 20, "linearity test iterations")
 		rho      = flag.Int("rho", 8, "PCP repetitions")
 		f220     = flag.Bool("f220", false, "use the 220-bit field")
-		ginger   = flag.Bool("ginger", false, "use the Ginger baseline encoding")
-		backend  = flag.String("backend", "", "proof backend to offer: auto|zaatar|ginger|sumcheck (overrides -ginger)")
+		backend  = flag.String("backend", "", "proof backend to offer: auto|zaatar|ginger|sumcheck")
 		noCrypto = flag.Bool("nocrypto", false, "skip the ElGamal commitment")
 		timeout  = flag.Duration("timeout", 2*time.Minute, "per-message read/write deadline (0 disables)")
 		workers  = flag.Int("workers", 1, "verifier parallelism over per-instance checks")
@@ -115,9 +114,6 @@ func main() {
 	}
 	if *f220 {
 		opts = append(opts, zaatar.WithField220())
-	}
-	if *ginger {
-		opts = append(opts, zaatar.WithGingerProtocol())
 	}
 	if *backend != "" {
 		opts = append(opts, zaatar.WithBackend(*backend))

@@ -4,9 +4,9 @@
 // verified-computation argument. Compiled programs are cached across
 // sessions (-cache) and, with -store, persisted to disk as content-addressed
 // bundles that survive restarts; concurrent sessions share the kernel pool
-// under a bounded admission semaphore (-maxsessions), wire protocol v2 lets
-// one connection carry many batches, and v3 lets a returning client name its
-// program by hash instead of re-uploading the source.
+// under a bounded admission semaphore (-maxsessions), one connection carries
+// many batches, and a returning client names its program by hash instead of
+// re-uploading the source.
 //
 // The server installs a per-message I/O deadline on every connection
 // (-timeout), drains in-flight sessions on SIGINT/SIGTERM before exiting,
@@ -18,7 +18,8 @@
 // additionally mounts net/http/pprof under /debug/pprof/ on the same
 // address. With -log-format text|json the server emits one structured
 // session record per negotiation/batch/close to stderr, carrying the
-// session id, backend, program hash, and trace correlation ids.
+// session id, backend, program hash, and trace correlation ids; without it,
+// only failed sessions, refused connections, and store faults are logged.
 //
 // Usage:
 //
@@ -31,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -62,7 +64,7 @@ func main() {
 		idleTimeout = flag.Duration("idletimeout", 0, "reap keep-alive connections idle this long between batches (0 = 2m, <0 disables)")
 		metrics     = flag.String("metrics", "", "address for the HTTP metrics endpoint (empty disables)")
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -metrics address")
-		logFormat   = flag.String("log-format", "", "emit structured session logs to stderr: text or json (empty disables)")
+		logFormat   = flag.String("log-format", "", "emit structured session logs to stderr: text or json (empty logs failures only)")
 		sloP99      = flag.Duration("slo-p99", 0, "readiness SLO: /readyz reports 503 while the rolling p99 batch latency exceeds this (0 disables)")
 		drain       = flag.Duration("drain", 30*time.Second, "how long to wait for in-flight sessions on shutdown")
 		workerMode  = flag.Bool("worker", false, "run as a prover-farm worker: identical service, plus the farm.worker.up gauge for farm monitoring (see zaatar-client -farm)")
@@ -160,11 +162,12 @@ func main() {
 		zaatar.WithServerIOTimeout(*timeout),
 		zaatar.WithIdleTimeout(*idleTimeout),
 		zaatar.WithServerMetrics(reg),
-		zaatar.WithServerLogf(log.Printf),
 	}
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	if *logFormat != "" {
-		srvOpts = append(srvOpts, zaatar.WithServerLogger(obs.NewLogger(os.Stderr, *logFormat)))
+		logger = obs.NewLogger(os.Stderr, *logFormat)
 	}
+	srvOpts = append(srvOpts, zaatar.WithServerLogger(logger))
 	if *storeDir != "" {
 		srvOpts = append(srvOpts, zaatar.WithStore(*storeDir))
 		log.Printf("zaatar-server: artifact store at %s", *storeDir)

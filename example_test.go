@@ -59,21 +59,6 @@ func Example_batch() {
 	// 150 true
 }
 
-// RecommendProtocol picks the proof encoding; compiled programs always
-// favor the QAP-based one.
-func ExampleRecommendProtocol() {
-	prog, err := zaatar.Compile(`
-		input a, b : int32;
-		output p : int64;
-		p = a * b;
-	`)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(zaatar.RecommendProtocol(prog))
-	// Output: zaatar
-}
-
 // Stats exposes the Figure 9 encoding quantities that drive the paper's
 // cost comparison.
 func ExampleProgram_stats() {

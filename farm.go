@@ -107,8 +107,8 @@ func rankAddrs(addrs []string, src string) []string {
 // returned Client behaves exactly like a Dial'ed one — same RunBatch, same
 // result shape, verdicts index-aligned with the batch.
 //
-// All workers must speak wire v2 or later (shards ride the keep-alive
-// session machinery). Scheduling telemetry lands in the farm.* metric
+// Shards ride the keep-alive session machinery: each is one more batch on
+// its worker's connection. Scheduling telemetry lands in the farm.* metric
 // series of the registry given by WithMetrics (or the default registry).
 func DialFarm(ctx context.Context, addrs []string, src string, opts ...RunOption) (*Client, error) {
 	o := buildRunOptions(opts)

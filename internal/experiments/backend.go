@@ -78,8 +78,7 @@ func RunBackend(o Options, beta int) (*BackendResult, error) {
 		Recommended: costmodel.RecommendBackend(prog.Field, prog.Ginger, prog.Quad),
 	}
 	for _, name := range []string{pcp.BackendZaatar, pcp.BackendSumcheck} {
-		cfg := o.vcConfig(vc.Zaatar)
-		cfg.Backend = name // takes precedence over the legacy Protocol field
+		cfg := o.vcConfig(name)
 		res, err := vc.RunBatch(context.Background(), prog, cfg, batch)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: backend %s: %w", name, err)

@@ -22,8 +22,11 @@ import (
 // scaling curve (workers → commits/s); schema 5 added the artifact-store
 // section (cold vs disk-warm-restart vs memory-warm session open, and the
 // hash-first hello's wire savings); schema 6 added the prover-farm section
-// (coordinator overhead vs a single-prover reference, with shard counters).
-const BaselineSchema = 6
+// (coordinator overhead vs a single-prover reference, with shard counters);
+// schema 7 reports the store section's wire bytes as the cold vs warm
+// session open (open_bytes_cold/open_bytes_warm) instead of a full-source
+// vs hash-first hello.
+const BaselineSchema = 7
 
 // Baseline is the machine-readable benchmark snapshot zaatar-bench -json
 // emits: per-phase wall times and latency percentiles for each §5

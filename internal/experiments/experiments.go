@@ -166,9 +166,9 @@ func measureLocal(b *benchprogs.Benchmark, prog *compiler.Program, seed int64) f
 }
 
 // vcConfig builds the protocol config for measured runs.
-func (o Options) vcConfig(protocol vc.Protocol) vc.Config {
+func (o Options) vcConfig(backend string) vc.Config {
 	return vc.Config{
-		Protocol:     protocol,
+		Backend:      backend,
 		Params:       o.Params,
 		NoCommitment: !o.Crypto,
 		Workers:      o.Workers,

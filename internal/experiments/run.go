@@ -8,6 +8,7 @@ import (
 
 	"zaatar/internal/benchprogs"
 	"zaatar/internal/compiler"
+	"zaatar/internal/pcp"
 	"zaatar/internal/vc"
 )
 
@@ -22,7 +23,7 @@ func genBatch(b *benchprogs.Benchmark, rng *rand.Rand, beta int) [][]*big.Int {
 
 // runZaatarBatch runs a measured Zaatar batch and verifies it end to end.
 func runZaatarBatch(prog *compiler.Program, b *benchprogs.Benchmark, o Options, rng *rand.Rand, beta int) (*vc.BatchResult, error) {
-	res, err := vc.RunBatch(context.Background(), prog, o.vcConfig(vc.Zaatar), genBatch(b, rng, beta))
+	res, err := vc.RunBatch(context.Background(), prog, o.vcConfig(pcp.BackendZaatar), genBatch(b, rng, beta))
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,8 @@ import (
 
 // StoreResult quantifies the artifact-store tentpole: session-open latency
 // across the three warmth tiers (cold compile, disk-warm restart, memory-
-// warm LRU), the wire bytes a hash-first hello saves against a full-source
-// one, and the span/counter evidence that the disk-warm restart really
+// warm LRU), the wire bytes a warm open saves against a cold one, and the
+// span/counter evidence that the disk-warm restart really
 // compiled nothing.
 type StoreResult struct {
 	Benchmark string `json:"benchmark"`
@@ -49,14 +49,14 @@ type StoreResult struct {
 	ColdVsDiskAcquireSpeedup float64 `json:"cold_vs_disk_acquire_speedup"`
 
 	// BundleBytes is the on-disk size of the program's bundle. SourceBytes
-	// is the program source the v3 hello no longer carries;
-	// HelloBytesHashFirst / HelloBytesFull are the measured client→server
-	// bytes during session open for a hash-first and a pinned-v2 hello
-	// against the same warm server.
-	BundleBytes         int64 `json:"bundle_bytes"`
-	SourceBytes         int   `json:"source_bytes"`
-	HelloBytesHashFirst int64 `json:"hello_bytes_hash_first"`
-	HelloBytesFull      int64 `json:"hello_bytes_full"`
+	// is the program source a warm open never sends. OpenBytesCold /
+	// OpenBytesWarm are the measured client→server bytes of a session open:
+	// cold, the hash-only hello plus the source upload the server asked
+	// for; warm (the disk-warm restart), the hello alone.
+	BundleBytes   int64 `json:"bundle_bytes"`
+	SourceBytes   int   `json:"source_bytes"`
+	OpenBytesCold int64 `json:"open_bytes_cold"`
+	OpenBytesWarm int64 `json:"open_bytes_warm"`
 
 	// DiskWarmCompileSpans / DiskWarmPreprocessSpans count the compile and
 	// preprocess spans in the disk-warm session's stitched trace — both must
@@ -72,8 +72,8 @@ type StoreResult struct {
 	StoreMisses int64 `json:"store_misses"`
 }
 
-// countConn counts the bytes the client writes (its hello traffic during
-// session open is what the hash-first exchange shrinks).
+// countConn counts the bytes the client writes (its traffic during session
+// open is what a warm server shrinks to the hash-only hello).
 type countConn struct {
 	net.Conn
 	n *int64
@@ -128,29 +128,15 @@ func RunStore(o Options, beta int) (*StoreResult, error) {
 		})
 		return svc, reg, nil
 	}
-	redial := func(svc *transport.Service) func(context.Context, int) (net.Conn, error) {
-		return func(context.Context, int) (net.Conn, error) {
-			client, server := net.Pipe()
-			go func() { _ = svc.ServeConn(context.Background(), server) }()
-			return client, nil
-		}
-	}
 	// open runs one full session (open + one batch + close) against svc and
 	// returns the session-open wall plus the client→server bytes of the
-	// open. A nil wireHello means hash-first (the v3 default when redial is
-	// available); otherwise the pinned hello is sent as given.
-	open := func(ctx context.Context, svc *transport.Service, wireHello *transport.Hello) (openMs float64, wireBytes int64, err error) {
-		h := hello
-		if wireHello != nil {
-			h = *wireHello
-		}
-		copts := baseOpts
-		copts.Redial = redial(svc)
+	// open.
+	open := func(ctx context.Context, svc *transport.Service) (openMs float64, wireBytes int64, err error) {
 		client, server := net.Pipe()
 		go func() { _ = svc.ServeConn(context.Background(), server) }()
 		var sess *transport.Session
 		ms, err := wallMs(func() (err error) {
-			sess, err = transport.NewSession(ctx, []net.Conn{countConn{client, &wireBytes}}, h, copts)
+			sess, err = transport.NewSession(ctx, []net.Conn{countConn{client, &wireBytes}}, hello, baseOpts)
 			return err
 		})
 		if err != nil {
@@ -178,7 +164,7 @@ func RunStore(o Options, beta int) (*StoreResult, error) {
 	}
 	coldRec := trace.NewRecorder(4096)
 	coldCtx := trace.NewContext(ctx, trace.New(coldRec, "verifier"))
-	res.ColdOpenMs, _, err = open(coldCtx, cold, nil)
+	res.ColdOpenMs, res.OpenBytesCold, err = open(coldCtx, cold)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +192,7 @@ func RunStore(o Options, beta int) (*StoreResult, error) {
 	}
 	rec := trace.NewRecorder(4096)
 	tctx := trace.NewContext(ctx, trace.New(rec, "verifier"))
-	res.DiskWarmOpenMs, res.HelloBytesHashFirst, err = open(tctx, warm, nil)
+	res.DiskWarmOpenMs, res.OpenBytesWarm, err = open(tctx, warm)
 	if err != nil {
 		return nil, err
 	}
@@ -231,16 +217,7 @@ func RunStore(o Options, beta int) (*StoreResult, error) {
 	}
 
 	// Memory-warm: a repeat session on the running service (LRU hit).
-	res.MemWarmOpenMs, _, err = open(ctx, warm, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	// Full-source comparison hello: the same program pinned to the v2
-	// dialect, against the same warm service — only the wire bytes differ.
-	v2 := hello
-	v2.Version = transport.ProtocolV2
-	_, res.HelloBytesFull, err = open(ctx, warm, &v2)
+	res.MemWarmOpenMs, _, err = open(ctx, warm)
 	if err != nil {
 		return nil, err
 	}
@@ -261,6 +238,6 @@ func RenderStore(w io.Writer, r *StoreResult) {
 		r.ColdVsDiskSpeedup, r.ColdVsDiskAcquireSpeedup, fmtDur(r.ColdAcquireMs/1e3), fmtDur(r.DiskAcquireMs/1e3))
 	fmt.Fprintf(w, "store counters: %d hit / %d miss\n", r.StoreHits, r.StoreMisses)
 	fmt.Fprintf(w, "bundle on disk: %d bytes for %d bytes of source\n", r.BundleBytes, r.SourceBytes)
-	fmt.Fprintf(w, "hello bytes on the wire: %d hash-first vs %d full-source (%d saved)\n",
-		r.HelloBytesHashFirst, r.HelloBytesFull, r.HelloBytesFull-r.HelloBytesHashFirst)
+	fmt.Fprintf(w, "session-open bytes on the wire: %d warm (hash-only hello) vs %d cold (hello + source upload) (%d saved)\n",
+		r.OpenBytesWarm, r.OpenBytesCold, r.OpenBytesCold-r.OpenBytesWarm)
 }

@@ -121,13 +121,9 @@ type pooledVerifier struct {
 	used bool
 }
 
-// New wraps an open session in a coordinator. The session must have
-// negotiated wire v2 or later on every leg: each shard is an extra wire
-// batch on its leg, which v1 servers refuse.
+// New wraps an open session in a coordinator: each shard is one more
+// keep-alive batch on its leg.
 func New(sess *transport.Session, opts Options) (*Farm, error) {
-	if sess.WireVersion() < transport.ProtocolV2 {
-		return nil, fmt.Errorf("farm: workers negotiated wire v%d; the farm needs keep-alive sessions (v2+)", sess.WireVersion())
-	}
 	copts := sess.Options()
 	f := &Farm{
 		Session: sess,

@@ -25,23 +25,27 @@ sq = x * x;
 `
 
 // dieAfterAck wraps the server side of a pipe so the worker completes the
-// handshake (the hello ack is its first write) and then dies: once anything
-// has been written, the next read fails and the connection closes. From the
-// coordinator's side the worker accepted the session and vanished before
-// serving its first shard — the deterministic "killed mid-batch" stand-in.
+// handshake and then dies. The worker's replies come in write phases — the
+// SourceNeeded ack, then the session ack — and once two have been written
+// the next read fails and the connection closes. From the coordinator's
+// side the worker accepted the session and vanished before serving its
+// first shard — the deterministic "killed mid-batch" stand-in.
 type dieAfterAck struct {
 	net.Conn
-	acked atomic.Bool
+	writing atomic.Bool  // the last operation was a write
+	phases  atomic.Int32 // write phases so far
 }
 
 func (c *dieAfterAck) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.acked.Store(true)
-	return n, err
+	if !c.writing.Swap(true) {
+		c.phases.Add(1)
+	}
+	return c.Conn.Write(p)
 }
 
 func (c *dieAfterAck) Read(p []byte) (int, error) {
-	if c.acked.Load() {
+	c.writing.Store(false)
+	if c.phases.Load() >= 2 {
 		c.Conn.Close()
 		return 0, errors.New("worker killed")
 	}

@@ -42,10 +42,13 @@ func serveLying(conn net.Conn) {
 	ctx := context.Background()
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
 	var h transport.Hello
-	if dec.Decode(&h) != nil {
+	var src transport.SourceMsg
+	if dec.Decode(&h) != nil ||
+		enc.Encode(transport.HelloAck{SourceNeeded: true, Version: transport.ProtocolVersion}) != nil ||
+		dec.Decode(&src) != nil {
 		return
 	}
-	prog, err := compiler.Compile(field.F128(), h.Source)
+	prog, err := compiler.Compile(field.F128(), src.Source)
 	if err != nil {
 		return
 	}
@@ -55,7 +58,7 @@ func serveLying(conn net.Conn) {
 		return
 	}
 	ack := transport.HelloAck{NumInputs: prog.NumInputs(), NumOutputs: prog.NumOutputs(),
-		Version: h.Version, Backend: pcp.BackendZaatar}
+		Version: transport.ProtocolVersion, Backend: pcp.BackendZaatar}
 	if enc.Encode(ack) != nil {
 		return
 	}

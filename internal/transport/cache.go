@@ -26,14 +26,7 @@ type cacheKey struct {
 
 func keyOf(h Hello, backend string) cacheKey {
 	key := cacheKey{field: h.fieldOf().Name(), backend: backend}
-	if h.hashFirst() {
-		// v3 hash-first hello: the client sent only the digest. validate
-		// guarantees that when both fields are present they agree, so keying
-		// on the hash is keying on the source.
-		copy(key.source[:], h.SourceHash)
-		return key
-	}
-	key.source = sha256.Sum256([]byte(h.Source))
+	copy(key.source[:], h.SourceHash)
 	return key
 }
 

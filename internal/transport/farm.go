@@ -82,7 +82,6 @@ func (s *Session) CloseLeg(i int) error {
 // independent batches, each with its own key and seed. Every failure comes
 // back as a *FarmError naming the worker, even on a one-worker farm. One
 // round at a time per leg; distinct legs may run rounds concurrently.
-// Requires the leg to speak wire v2 (keep-alive).
 func (s *Session) Leg(i int) vc.Endpoint {
 	return &legEndpoint{s: s, i: i, attribute: true}
 }

@@ -107,34 +107,6 @@ func TestNegotiateDegrade(t *testing.T) {
 	}
 }
 
-// TestNegotiateLegacyGingerHello: a legacy peer's hello (Ginger bool, no
-// Backends list) still round-trips; the server treats it as an offer of
-// exactly [ginger].
-func TestNegotiateLegacyGingerHello(t *testing.T) {
-	svc, reg := testService(ServiceOptions{Workers: 2})
-	conn, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true, Ginger: true}
-	sess, err := NewSession(context.Background(), []net.Conn{conn}, hello, ClientOptions{Seed: []byte("leg")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sess.Backend(); got != pcp.BackendGinger {
-		t.Fatalf("negotiated %q, want ginger", got)
-	}
-	res, err := sess.RunBatch(context.Background(), negotiationBatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkNegotiationOutputs(t, res)
-	sess.Close()
-	if err := <-errCh; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	if got := reg.Counter(MetricBackendSessions + pcp.BackendGinger).Value(); got != 1 {
-		t.Fatalf("pcp.backend.sessions.ginger = %d, want 1", got)
-	}
-}
-
 // TestNegotiateNoCommonBackend: an offer the server cannot meet fails the
 // hello with a remote error naming the mismatch.
 func TestNegotiateNoCommonBackend(t *testing.T) {
@@ -188,28 +160,28 @@ func TestNegotiateDistributedMismatch(t *testing.T) {
 // TestHelloBackendsValidation: oversized or malformed offers are rejected
 // before any work happens.
 func TestHelloBackendsValidation(t *testing.T) {
-	base := Hello{Source: sessionSrc}
+	base := Hello{Source: sessionSrc}.wire()
 	tooMany := base
 	tooMany.Backends = make([]string, maxBackends+1)
 	for i := range tooMany.Backends {
 		tooMany.Backends[i] = "b"
 	}
-	if err := tooMany.validate(0); !errors.Is(err, ErrMalformedHello) {
+	if err := tooMany.validate(); !errors.Is(err, ErrMalformedHello) {
 		t.Fatalf("oversized offer: %v", err)
 	}
 	empty := base
 	empty.Backends = []string{""}
-	if err := empty.validate(0); !errors.Is(err, ErrMalformedHello) {
+	if err := empty.validate(); !errors.Is(err, ErrMalformedHello) {
 		t.Fatalf("empty name: %v", err)
 	}
 	long := base
 	long.Backends = []string{strings.Repeat("x", maxBackendBytes+1)}
-	if err := long.validate(0); !errors.Is(err, ErrMalformedHello) {
+	if err := long.validate(); !errors.Is(err, ErrMalformedHello) {
 		t.Fatalf("long name: %v", err)
 	}
 	ok := base
 	ok.Backends = []string{pcp.BackendSumcheck, pcp.BackendZaatar}
-	if err := ok.validate(0); err != nil {
+	if err := ok.validate(); err != nil {
 		t.Fatalf("valid offer rejected: %v", err)
 	}
 }

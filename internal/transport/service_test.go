@@ -68,8 +68,8 @@ func TestKeepAliveMultiBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.WireVersion(); got != MaxProtocolVersion {
-		t.Fatalf("negotiated v%d, want v%d", got, MaxProtocolVersion)
+	if got := sess.WireVersion(); got != ProtocolVersion {
+		t.Fatalf("negotiated v%d, want v%d", got, ProtocolVersion)
 	}
 	for b, xs := range [][]int64{{10, -4}, {6}, {1, 2, 3}} {
 		res, err := sess.RunBatch(context.Background(), instances(xs...))
@@ -95,38 +95,19 @@ func TestKeepAliveMultiBatch(t *testing.T) {
 	}
 }
 
-// recordingProver is a hand-rolled v2 prover loop that hands each wire
+// recordingProver is a hand-rolled prover loop that hands each wire
 // message to the callbacks (either may be nil) before handling it — tests
 // use it to observe protocol-level invariants the real Service does not
 // surface.
 func recordingProver(server net.Conn, onBatch func(BatchMsg), onDecommit func(DecommitMsg)) error {
 	defer server.Close()
 	dec, enc := gob.NewDecoder(server), gob.NewEncoder(server)
-	var h Hello
-	if err := dec.Decode(&h); err != nil {
-		return err
-	}
-	if h.Source == "" {
-		// v3 hash-first hello: this bare prover caches nothing, so always
-		// ask for the source.
-		if err := enc.Encode(HelloAck{SourceNeeded: true, Version: ProtocolV2}); err != nil {
-			return err
-		}
-		var src SourceMsg
-		if err := dec.Decode(&src); err != nil {
-			return err
-		}
-		h.Source = src.Source
-	}
-	prog, err := compiler.Compile(h.fieldOf(), h.Source)
+	h, prog, err := serveHello(dec, enc)
 	if err != nil {
 		return err
 	}
-	prover, err := vc.NewProver(prog, h.config(1, nil, h.offered()[0]))
+	prover, err := vc.NewProver(prog, h.config(1, nil, h.Backends[0]))
 	if err != nil {
-		return err
-	}
-	if err := enc.Encode(HelloAck{NumInputs: prog.NumInputs(), NumOutputs: prog.NumOutputs(), Version: ProtocolV2}); err != nil {
 		return err
 	}
 	for {
@@ -193,7 +174,7 @@ func TestServiceRejectsMaliciousCommitRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := hello.config(1, []byte("mal-seed"), hello.offered()[0])
+	cfg := hello.config(1, []byte("mal-seed"), pcp.BackendZaatar)
 	cfg.Group = g
 	ver, err := vc.NewVerifier(prog, cfg)
 	if err != nil {
@@ -205,11 +186,7 @@ func TestServiceRejectsMaliciousCommitRequest(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2})
 	client, errCh := servicePipe(svc)
 	cc := newTimedCodec(client, 5*time.Second)
-	if err := cc.send(hello); err != nil {
-		t.Fatal(err)
-	}
-	var ack HelloAck
-	if err := cc.recv(&ack); err != nil || ack.Err != "" {
+	if ack, err := openRaw(cc, hello); err != nil || ack.Err != "" {
 		t.Fatalf("hello failed: %v %q", err, ack.Err)
 	}
 	if err := cc.send(BatchMsg{Req: req, Instances: instances(4)}); err != nil {
@@ -454,169 +431,99 @@ func TestMidFrameHangupIsError(t *testing.T) {
 	}
 }
 
-// TestV1PeerSingleBatch pins the client to wire v1: the session still
-// works, but a second batch on the same connection is refused client-side
-// and the server ends after one batch.
-func TestV1PeerSingleBatch(t *testing.T) {
-	svc, reg := testService(ServiceOptions{Workers: 1})
-	client, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true, Version: ProtocolV1}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("v1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if got := sess.WireVersion(); got != ProtocolV1 {
-		t.Fatalf("negotiated v%d, want v%d", got, ProtocolV1)
-	}
-	res, err := sess.RunBatch(context.Background(), instances(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBatch(t, res, []int64{10})
-	if _, err := sess.RunBatch(context.Background(), instances(11)); !errors.Is(err, ErrSingleBatch) {
-		t.Fatalf("second v1 batch: err = %v, want ErrSingleBatch", err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	if got := reg.Counter(MetricServedBatches).Value(); got != 1 {
-		t.Fatalf("batches = %d, want 1", got)
+// TestProtocolVersionErrorTyped: every version but ProtocolVersion — the
+// gob zero value a pre-versioning peer sends, the retired dialects 1 and
+// 2, and an unknown future one — is refused with the typed error, both by
+// validate and by a live service, which reports it in the ack.
+func TestProtocolVersionErrorTyped(t *testing.T) {
+	for _, v := range []int{0, 1, 2, 99} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			h := Hello{Source: sessionSrc}.wire()
+			h.Version = v
+			var vErr *ProtocolVersionError
+			if err := h.validate(); !errors.As(err, &vErr) {
+				t.Fatalf("validate: %v, want *ProtocolVersionError", err)
+			} else if vErr.Version != v || vErr.Max != ProtocolVersion {
+				t.Fatalf("version error: %+v", vErr)
+			}
+
+			svc, _ := testService(ServiceOptions{Workers: 1})
+			client, errCh := servicePipe(svc)
+			defer client.Close()
+			cc := newTimedCodec(client, 5*time.Second)
+			if err := cc.send(h); err != nil {
+				t.Fatal(err)
+			}
+			var ack HelloAck
+			if err := cc.recv(&ack); err != nil {
+				t.Fatal(err)
+			}
+			if ack.Err == "" || ack.SourceNeeded {
+				t.Fatalf("server accepted wire version %d: %+v", v, ack)
+			}
+			serr := <-errCh
+			if !errors.As(serr, &vErr) {
+				t.Fatalf("server error: %v, want *ProtocolVersionError", serr)
+			} else if vErr.Version != v || vErr.Max != ProtocolVersion {
+				t.Fatalf("server version error: %+v", vErr)
+			}
+		})
 	}
 }
 
-// legacyBatchMsg mirrors BatchMsg before the Close field existed.
-type legacyBatchMsg struct {
-	Req       *vc.CommitRequest
-	Instances [][]*big.Int
-}
-
-// TestLegacyGobClient drives the v2 service with a verbatim pre-versioning
-// client: hello without Version, batch without Close, responses without
-// Trace. Gob's unknown-field semantics carry both directions, and the
-// server treats the session as v1 (one batch, clean end).
-func TestLegacyGobClient(t *testing.T) {
+// TestNilCommitRequestRefused speaks raw gob: after one complete batch, a
+// second BatchMsg without a commit request must be refused — committing
+// it under the previous batch's key would let the prover solve for the
+// key's secret vector across the two decommits.
+func TestNilCommitRequestRefused(t *testing.T) {
 	svc, _ := testService(ServiceOptions{Workers: 1})
 	client, errCh := servicePipe(svc)
 	defer client.Close()
-	enc, dec := gob.NewEncoder(client), gob.NewDecoder(client)
-
-	if err := enc.Encode(legacyHello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}); err != nil {
-		t.Fatal(err)
+	cc := newTimedCodec(client, 5*time.Second)
+	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
+	if ack, err := openRaw(cc, hello); err != nil || ack.Err != "" {
+		t.Fatalf("hello failed: %v %q", err, ack.Err)
 	}
-	var ack HelloAck
-	if err := dec.Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Err != "" {
-		t.Fatalf("ack: %s", ack.Err)
-	}
-	if ack.Version != ProtocolV1 {
-		t.Fatalf("server negotiated v%d with a pre-versioning client, want v%d", ack.Version, ProtocolV1)
-	}
-
-	prog, err := compiler.Compile(field.F128(), sessionSrc)
+	prog, err := compiler.Compile(hello.fieldOf(), sessionSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := vc.Config{Params: pcp.Params{RhoLin: 2, Rho: 2}, NoCommitment: true, Seed: []byte("legacy")}
-	verifier, err := vc.NewVerifier(prog, cfg)
+	verifier, err := vc.NewVerifier(prog, hello.config(1, []byte("nil-req"), pcp.BackendZaatar))
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := []*big.Int{big.NewInt(9)}
-	if err := enc.Encode(legacyBatchMsg{Req: verifier.Setup(), Instances: [][]*big.Int{in}}); err != nil {
-		t.Fatal(err)
-	}
+	in := instances(3)
 	var cms CommitmentsMsg
-	if err := dec.Decode(&cms); err != nil {
+	if err := cc.send(BatchMsg{Req: verifier.Setup(), Instances: in}); err != nil {
 		t.Fatal(err)
 	}
-	if cms.Err != "" || len(cms.Items) != 1 {
-		t.Fatalf("commitments: %q, %d items", cms.Err, len(cms.Items))
+	if err := cc.recv(&cms); err != nil || cms.Err != "" {
+		t.Fatalf("first batch commit: %v %q", err, cms.Err)
 	}
 	dreq, err := verifier.Decommit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(DecommitMsg{Req: dreq}); err != nil {
+	var resp ResponsesMsg
+	if err := cc.send(DecommitMsg{Req: dreq}); err != nil {
 		t.Fatal(err)
 	}
-	var resp legacyResponsesMsg
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" || len(resp.Items) != 1 {
-		t.Fatalf("responses: %q, %d items", resp.Err, len(resp.Items))
-	}
-	ok, reason := verifier.VerifyInstance(context.Background(), in, cms.Items[0], resp.Items[0])
-	if !ok {
-		t.Fatalf("rejected: %s", reason)
-	}
-	client.Close()
-	if err := <-errCh; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-}
-
-// TestV2ClientLegacyServer is the mirror: the new Session against a
-// pre-versioning prover. The missing ack.Version negotiates the session
-// down to v1; the batch runs, and keep-alive is refused.
-func TestV2ClientLegacyServer(t *testing.T) {
-	client, server := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() { errCh <- serveLegacy(server) }()
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("lv")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if got := sess.WireVersion(); got != ProtocolV1 {
-		t.Fatalf("negotiated v%d against a legacy server, want v%d", got, ProtocolV1)
-	}
-	res, err := sess.RunBatch(context.Background(), instances(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBatch(t, res, []int64{8})
-	if err := <-errCh; err != nil {
-		t.Fatalf("legacy server: %v", err)
-	}
-	if _, err := sess.RunBatch(context.Background(), instances(9)); !errors.Is(err, ErrSingleBatch) {
-		t.Fatalf("err = %v, want ErrSingleBatch", err)
-	}
-}
-
-// TestProtocolVersionErrorTyped covers the typed validate error on both
-// ends: locally via errors.As, and over the wire where the server reports
-// it in the ack and survives.
-func TestProtocolVersionErrorTyped(t *testing.T) {
-	h := Hello{Source: sessionSrc, Version: 99}
-	var vErr *ProtocolVersionError
-	if err := h.validate(0); !errors.As(err, &vErr) {
-		t.Fatalf("validate: %v, want *ProtocolVersionError", err)
-	} else if vErr.Version != 99 || vErr.Max != MaxProtocolVersion {
-		t.Fatalf("version error: %+v", vErr)
+	if err := cc.recv(&resp); err != nil || resp.Err != "" {
+		t.Fatalf("first batch respond: %v %q", err, resp.Err)
 	}
 
-	svc, _ := testService(ServiceOptions{Workers: 1})
-	client, errCh := servicePipe(svc)
-	defer client.Close()
-	cc := newTimedCodec(client, 5*time.Second)
-	if err := cc.send(h); err != nil {
+	if err := cc.send(BatchMsg{Instances: in}); err != nil {
 		t.Fatal(err)
 	}
-	var ack HelloAck
-	if err := cc.recv(&ack); err != nil {
+	cms = CommitmentsMsg{}
+	if err := cc.recv(&cms); err != nil {
 		t.Fatal(err)
 	}
-	if ack.Err == "" {
-		t.Fatal("server accepted an unknown wire version")
+	if cms.Err == "" {
+		t.Fatal("server committed a batch without a commit request")
 	}
-	serr := <-errCh
-	if !errors.As(serr, &vErr) {
-		t.Fatalf("server error: %v, want *ProtocolVersionError", serr)
+	if err := <-errCh; !errors.Is(err, ErrMalformedHello) {
+		t.Fatalf("server err = %v, want ErrMalformedHello", err)
 	}
 }
 

@@ -2,13 +2,12 @@ package transport
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math/big"
 	"net"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,17 +15,15 @@ import (
 	"zaatar/internal/elgamal"
 	"zaatar/internal/obs"
 	"zaatar/internal/obs/trace"
-	"zaatar/internal/pcp"
 	"zaatar/internal/vc"
 )
 
 // ClientOptions configures the verifier side of a session.
 type ClientOptions struct {
 	// Seed fixes the verifier's randomness; empty draws fresh randomness.
-	// Under v2 keep-alive every batch after the first reseeds with a
-	// counter appended to this value (or fresh randomness when empty), so a
-	// fixed seed still yields deterministic — but per-batch distinct —
-	// queries.
+	// Every batch after the first reseeds with a counter appended to this
+	// value (or fresh randomness when empty), so a fixed seed still yields
+	// deterministic — but per-batch distinct — queries.
 	Seed []byte
 	// Group overrides the ElGamal group (tests with non-production fields).
 	Group *elgamal.Group
@@ -41,14 +38,6 @@ type ClientOptions struct {
 	// source to pick its backend offer (see zaatar.WithBackend's auto
 	// mode) skip the second compilation. It must match the hello.
 	Program *compiler.Program
-	// Redial, when non-nil, opens a replacement connection to prover i
-	// after a hash-first (v3) hello is rejected by a pre-v3 server — such a
-	// server answers with its own version in the error ack and closes the
-	// connection, so the downgrade retry (full source, the server's
-	// version) needs a fresh one. With Redial nil the session fails with
-	// the server's rejection instead of downgrading. zaatar.Dial wires this
-	// automatically.
-	Redial func(ctx context.Context, i int) (net.Conn, error)
 	// Addrs, when non-empty, names the prover behind each connection
 	// (index-aligned with the conns given to NewSession). The names label
 	// leg failures (*FarmError.Addr) so a caller can tell which worker
@@ -73,23 +62,22 @@ func (o ClientOptions) registry() *obs.Registry {
 
 // sessionLeg is the verifier's state for one prover connection.
 type sessionLeg struct {
-	conn    net.Conn
-	cc      *timedCodec
-	version int
-	addr    string // worker name for failure attribution
+	conn net.Conn
+	cc   *timedCodec
+	addr string // worker name for failure attribution
 }
 
 // Session is the verifier side of a prover session: over one connection,
 // or over several when a farm coordinator drives each one through Leg.
-// NewSession negotiates the wire version and compiles the verifier state
-// once; each RunBatch then proves and verifies one batch. Under wire v2 the
-// connection, the client- and server-side compilations, and the prover's
-// QAP precomputation all carry over between batches — the paper's batching
-// amortization (§5.2) extended across batches. The query seed and the
-// commitment key are per-batch: each decommit reveals a consistency point
-// over the key's secret vector r, so the key cannot soundly outlive its
-// batch. A session is not safe for concurrent use; RunBatch calls are
-// serialized internally.
+// NewSession opens the session and compiles the verifier state once; each
+// RunBatch then proves and verifies one batch. The connection, the client-
+// and server-side compilations, and the prover's QAP precomputation all
+// carry over between batches — the paper's batching amortization (§5.2)
+// extended across batches. The query seed and the commitment key are
+// per-batch: each decommit reveals a consistency point over the key's
+// secret vector r, so the key cannot soundly outlive its batch. A session
+// is not safe for concurrent use; RunBatch calls are serialized
+// internally.
 type Session struct {
 	mu       sync.Mutex
 	opts     ClientOptions
@@ -97,7 +85,6 @@ type Session struct {
 	prog     *compiler.Program
 	verifier *vc.Verifier
 	legs     []*sessionLeg
-	version  int    // min negotiated version across legs
 	backend  string // negotiated proof backend (identical across legs)
 	tc       *trace.Ctx
 	sessTr   *trace.Span
@@ -109,31 +96,17 @@ type Session struct {
 }
 
 // NewSession opens a verifier session over the given prover connections:
-// it validates and sends the hello (offering wire v2 unless hello.Version
-// pins an older dialect), collects the acks, and builds the verifier's
-// query and commitment-key state. The context bounds only the handshake;
-// the session itself lives until Close.
+// it sends each prover the hash-only wire copy of the hello (hello.Source
+// stays here until a prover asks for it; an empty hello.Backends offers
+// [zaatar]), collects the acks, and builds the verifier's query and
+// commitment-key state. The context bounds only the handshake; the session
+// itself lives until Close.
 func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientOptions) (s *Session, err error) {
 	if len(conns) == 0 {
 		return nil, errors.New("transport: no prover connections")
 	}
-	if hello.Version == 0 {
-		hello.Version = MaxProtocolVersion
-	}
-	// Hash-first under v3: stamp the digest, and — when Redial makes the
-	// downgrade retry possible — omit the source from the wire copies sent
-	// below, so it leaves this process only if a server asks. Without
-	// Redial the source rides along: a pre-v3 server that rejects the
-	// hash-first form closes the connection, and recovery needs a fresh
-	// one. An empty source is left alone so validation rejects it as
-	// malformed.
-	hashFirst := false
-	if hello.version() >= ProtocolV3 && strings.TrimSpace(hello.Source) != "" {
-		sum := sha256.Sum256([]byte(hello.Source))
-		hello.SourceHash = sum[:]
-		hashFirst = opts.Redial != nil
-	}
-	if err := hello.validate(0); err != nil {
+	wire := hello.wire()
+	if err := wire.validate(); err != nil {
 		return nil, err
 	}
 	reg := opts.registry()
@@ -144,14 +117,13 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 	sessTr, tctx := trace.Child(ctx, "transport.session")
 	sessTr.WithArg("provers", int64(len(conns)))
 	tc := trace.FromContext(tctx)
-	hello.Trace = tc.TraceID()
-	hello.TraceParent = tc.SpanID()
+	wire.Trace = tc.TraceID()
+	wire.TraceParent = tc.SpanID()
 
 	sess := &Session{
 		opts:    opts,
 		reg:     reg,
 		multi:   len(conns) > 1,
-		version: MaxProtocolVersion,
 		tc:      tc,
 		sessTr:  sessTr,
 		obsSpan: reg.StartSpan(MetricSpanClient),
@@ -180,15 +152,6 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 		}
 	}
 
-	// Legacy fallback for servers that predate backend negotiation: they
-	// derive the backend from the Ginger bool, so the client assumes the
-	// same derivation when the ack carries no pick.
-	legacyBackend := pcp.BackendZaatar
-	if hello.Ginger {
-		legacyBackend = pcp.BackendGinger
-	}
-	offered := hello.offered()
-
 	helloTr := trace.Start(tctx, "wire.hello_exchange")
 	for i, conn := range conns {
 		addr := ""
@@ -198,10 +161,6 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 			addr = ra.String()
 		}
 		leg := &sessionLeg{conn: conn, cc: newTimedCodec(conn, opts.IOTimeout), addr: addr}
-		wire := hello
-		if hashFirst {
-			wire.Source = ""
-		}
 		if err := leg.cc.send(wire); err != nil {
 			helloTr.End()
 			s.legs = append(s.legs, leg)
@@ -209,30 +168,20 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 		}
 		s.legs = append(s.legs, leg)
 	}
-	// Per-leg ack processing runs concurrently: under v3 a prover that
-	// misses the program asks this leg for an upload (or, pre-v3, rejects
-	// and gets a downgrade redial), and when several legs reach one server
-	// the singleflight build winner — the only leg asked to upload — may be
-	// any of them. Serial processing would deadlock waiting on the wrong
-	// leg. Redialed connections get their own ctx watcher for the rest of
-	// the handshake, stopped when NewSession returns like the originals'.
+	// Per-leg ack processing runs concurrently: a prover that misses the
+	// program asks its leg for an upload, and when several legs reach one
+	// server the singleflight build winner — the only leg asked to upload —
+	// may be any of them. Serial processing would deadlock waiting on the
+	// wrong leg.
 	acks := make([]HelloAck, len(s.legs))
 	legErrs := make([]error, len(s.legs))
-	stops := make([]func() bool, len(s.legs))
-	defer func() {
-		for _, stop := range stops {
-			if stop != nil {
-				stop()
-			}
-		}
-	}()
 	var hsWG sync.WaitGroup
-	for i := range s.legs {
+	for i, leg := range s.legs {
 		hsWG.Add(1)
-		go func(i int) {
+		go func() {
 			defer hsWG.Done()
-			acks[i], stops[i], legErrs[i] = s.handshakeLeg(ctx, i, s.legs[i], hello, hashFirst)
-		}(i)
+			acks[i], legErrs[i] = leg.handshake(hello.Source)
+		}()
 	}
 	hsWG.Wait()
 	for i, err := range legErrs {
@@ -241,30 +190,15 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 			return nil, s.legError(i, err)
 		}
 	}
-	for i, leg := range s.legs {
-		ack := acks[i]
-		leg.version = ack.Version
-		if leg.version == 0 {
-			leg.version = ProtocolV1 // pre-versioning server
-		}
-		if leg.version > hello.Version {
-			helloTr.End()
-			return nil, &ProtocolVersionError{Version: leg.version, Max: hello.Version}
-		}
+	for _, ack := range acks {
 		if ack.NumInputs != s.prog.NumInputs() || ack.NumOutputs != s.prog.NumOutputs() {
 			helloTr.End()
 			return nil, errors.New("transport: prover disagrees on the io shape")
 		}
-		if leg.version < s.version {
-			s.version = leg.version
-		}
 		picked := ack.Backend
-		if picked == "" {
-			picked = legacyBackend
-		}
-		if !slicesContains(offered, picked) {
+		if !slices.Contains(wire.Backends, picked) { // an empty pick included
 			helloTr.End()
-			return nil, fmt.Errorf("%w: server picked %q, offered %v", ErrNoCommonBackend, picked, offered)
+			return nil, fmt.Errorf("%w: server picked %q, offered %v", ErrNoCommonBackend, picked, wire.Backends)
 		}
 		switch s.backend {
 		case "":
@@ -291,83 +225,41 @@ func NewSession(ctx context.Context, conns []net.Conn, hello Hello, opts ClientO
 	}
 	reg.CounterVec(MetricClientSessions, LabelBackend).With(s.backend).Inc()
 	s.log = s.log.With(LabelBackend, s.backend)
-	s.log.InfoContext(tctx, "session negotiated", "version", s.version, "provers", int64(len(conns)))
+	s.log.InfoContext(tctx, "session negotiated", "version", ProtocolVersion, "provers", int64(len(conns)))
 	return s, nil
 }
 
-// handshakeLeg completes one prover's hello exchange: take the ack, answer
-// a SourceNeeded with the program source, and — when a pre-v3 server
-// rejected the hash-first hello — redial and retry with the full source at
-// the server's version. Returns the definitive ack, plus the stop func of
-// the replacement connection's ctx watcher (nil without a redial).
-func (s *Session) handshakeLeg(ctx context.Context, i int, leg *sessionLeg, hello Hello, hashFirst bool) (HelloAck, func() bool, error) {
+// handshake completes one prover's hello exchange after the hello went
+// out: take the ack, answer a SourceNeeded with the program source, and
+// check the definitive ack's version.
+func (leg *sessionLeg) handshake(source string) (HelloAck, error) {
 	var ack HelloAck
-	rerr := leg.cc.recv(&ack)
-	if rerr == nil && ack.SourceNeeded {
+	if err := leg.cc.recv(&ack); err != nil {
+		return ack, err
+	}
+	if ack.SourceNeeded {
 		// This prover holds the program in neither its memory cache nor its
 		// artifact store: upload the source the hello hashed.
-		if err := leg.cc.send(SourceMsg{Source: hello.Source}); err != nil {
-			return ack, nil, err
+		if err := leg.cc.send(SourceMsg{Source: source}); err != nil {
+			return ack, err
 		}
 		ack = HelloAck{}
 		if err := leg.cc.recv(&ack); err != nil {
-			return ack, nil, err
+			return ack, err
 		}
 	}
-	// A pre-v3 server cannot open a hash-first session: a versioned one
-	// rejects the unknown version in an error ack reporting the highest
-	// version it speaks; a pre-versioning one fails on the empty source,
-	// possibly dropping the connection without a decodable ack. Either way
-	// the connection is done — redial and retry with the full source at the
-	// server's version (v2 on a drop: a pre-versioning server ignores the
-	// field, anything newer would have acked properly).
-	downgrade := hashFirst &&
-		((rerr != nil && ctx.Err() == nil) || (rerr == nil && ack.Err != "" && ack.Version < ProtocolV3))
-	if rerr != nil && !downgrade {
-		return ack, nil, rerr
+	switch {
+	case ack.Err != "":
+		return ack, &RemoteError{Phase: "hello", Msg: ack.Err}
+	case ack.Version != ProtocolVersion:
+		return ack, &ProtocolVersionError{Version: ack.Version, Max: ProtocolVersion}
 	}
-	var stop func() bool
-	if downgrade {
-		conn, derr := s.opts.Redial(ctx, i)
-		if derr != nil {
-			return ack, nil, fmt.Errorf("transport: redial for wire downgrade: %w (hash-first hello failed: %v%s)",
-				derr, rerr, ack.Err)
-		}
-		stop = watch(ctx, conn)
-		_ = leg.conn.Close()
-		leg.conn, leg.cc = conn, newTimedCodec(conn, s.opts.IOTimeout)
-		retry := hello
-		retry.SourceHash = nil
-		retry.Version = ack.Version
-		if retry.Version == 0 {
-			retry.Version = ProtocolV2 // let the reply negotiate lower
-		}
-		if err := leg.cc.send(retry); err != nil {
-			return ack, stop, err
-		}
-		ack = HelloAck{}
-		if err := leg.cc.recv(&ack); err != nil {
-			return ack, stop, err
-		}
-	}
-	if ack.Err != "" {
-		return ack, stop, &RemoteError{Phase: "hello", Msg: ack.Err}
-	}
-	return ack, stop, nil
+	return ack, nil
 }
 
-func slicesContains(list []string, want string) bool {
-	for _, v := range list {
-		if v == want {
-			return true
-		}
-	}
-	return false
-}
-
-// WireVersion reports the wire protocol version negotiated with the
-// provers (the minimum across connections).
-func (s *Session) WireVersion() int { return s.version }
+// WireVersion reports the wire protocol version the session speaks —
+// always ProtocolVersion, since NewSession refuses any other.
+func (s *Session) WireVersion() int { return ProtocolVersion }
 
 // Backend reports the proof backend negotiated with the provers (identical
 // across connections; NewSession fails otherwise).
@@ -382,13 +274,12 @@ func (s *Session) Program() *compiler.Program { return s.prog }
 func (s *Session) SetupDuration() time.Duration { return s.verifier.SetupDuration() }
 
 // RunBatch proves and verifies one batch of instances on the session's
-// prover connection. Every batch ships its own commit request: under wire
-// v2 later batches reuse the connection and the negotiated (server-cached)
-// program, but redraw the query seed and the commitment key — reusing the
-// key across decommits would leak the secret vector r. On a session
-// negotiated down to v1, a second RunBatch fails with ErrSingleBatch. A
-// session over several provers runs its batches through a farm
-// (internal/farm), which drives each leg via Leg.
+// prover connection. Every batch ships its own commit request: later
+// batches reuse the connection and the negotiated (server-cached) program,
+// but redraw the query seed and the commitment key — reusing the key
+// across decommits would leak the secret vector r. A session over several
+// provers runs its batches through a farm (internal/farm), which drives
+// each leg via Leg.
 func (s *Session) RunBatch(ctx context.Context, batch [][]*big.Int) (res *SessionResult, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -400,9 +291,6 @@ func (s *Session) RunBatch(ctx context.Context, batch [][]*big.Int) (res *Sessio
 	}
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("%w: 0 instances", ErrBatchTooLarge)
-	}
-	if s.batches > 0 && s.version < ProtocolV2 {
-		return nil, ErrSingleBatch
 	}
 	defer func() { err = ctxErr(ctx, err) }()
 	defer watch(ctx, s.legs[0].conn)()
@@ -446,7 +334,7 @@ func (s *Session) finish() {
 	s.obsSpan.End()
 }
 
-// Close ends the session: v2 provers get a goodbye frame so they log a
+// Close ends the session: every prover gets a goodbye frame so it logs a
 // clean end rather than a hangup, and every connection is closed. Close is
 // idempotent and safe after errors.
 func (s *Session) Close() error {
@@ -457,9 +345,7 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	for _, leg := range s.legs {
-		if leg.version >= ProtocolV2 {
-			_ = leg.cc.send(BatchMsg{Close: true})
-		}
+		_ = leg.cc.send(BatchMsg{Close: true})
 		_ = leg.conn.Close()
 	}
 	s.finish()

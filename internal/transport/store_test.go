@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"errors"
-	"net"
 	"os"
 	"sync"
 	"testing"
@@ -13,16 +12,6 @@ import (
 	"zaatar/internal/pcp"
 	"zaatar/internal/store"
 )
-
-// redialTo gives a client the downgrade/retry path against svc: every call
-// opens a fresh pipe served by a new ServeConn goroutine.
-func redialTo(svc *Service) func(context.Context, int) (net.Conn, error) {
-	return func(context.Context, int) (net.Conn, error) {
-		client, server := net.Pipe()
-		go func() { _ = svc.ServeConn(context.Background(), server) }()
-		return client, nil
-	}
-}
 
 func openStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
@@ -45,7 +34,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	svc1, reg1 := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client1, errCh1 := servicePipe(svc1)
 	res, err := runSession(context.Background(), client1, hello,
-		ClientOptions{Seed: []byte("w1"), Redial: redialTo(svc1)}, instances(10))
+		ClientOptions{Seed: []byte("w1")}, instances(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +62,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	ctx2, tc2 := tracedContext(t)
 	client2, errCh2 := servicePipe(svc2)
 	res, err = runSession(ctx2, client2, hello,
-		ClientOptions{Seed: []byte("w2"), Redial: redialTo(svc2)}, instances(7))
+		ClientOptions{Seed: []byte("w2")}, instances(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +107,7 @@ func TestHashFirstMemoryWarm(t *testing.T) {
 	for i, want := range []int64{0, 1} {
 		client, errCh := servicePipe(svc)
 		res, err := runSession(context.Background(), client, hello,
-			ClientOptions{Seed: []byte{byte(i)}, Redial: redialTo(svc)}, instances(5))
+			ClientOptions{Seed: []byte{byte(i)}}, instances(5))
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -137,74 +126,6 @@ func TestHashFirstMemoryWarm(t *testing.T) {
 	}
 }
 
-// TestHashFirstDowngradeInterop pins the server below v3: the hash-first
-// hello is rejected exactly like an older build would, and the client's
-// redial retry lands the session on the server's dialect with the full
-// source.
-func TestHashFirstDowngradeInterop(t *testing.T) {
-	for _, pin := range []int{ProtocolV1, ProtocolV2} {
-		svc, reg := testService(ServiceOptions{Workers: 2, MaxWireVersion: pin})
-		client, errCh := servicePipe(svc)
-		hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true}
-		sess, err := NewSession(context.Background(), []net.Conn{client}, hello,
-			ClientOptions{Seed: []byte("dg"), Redial: redialTo(svc)})
-		if err != nil {
-			t.Fatalf("pin v%d: %v", pin, err)
-		}
-		if got := sess.WireVersion(); got != pin {
-			t.Fatalf("pin v%d: negotiated v%d", pin, got)
-		}
-		res, err := sess.RunBatch(context.Background(), instances(4))
-		if err != nil {
-			t.Fatalf("pin v%d: %v", pin, err)
-		}
-		checkBatch(t, res, []int64{4})
-		sess.Close()
-		// The first connection died on the version rejection — that is the
-		// downgrade signal, and the server reports it as such.
-		var vErr *ProtocolVersionError
-		if err := <-errCh; !errors.As(err, &vErr) {
-			t.Fatalf("pin v%d: first conn error %v, want *ProtocolVersionError", pin, err)
-		} else if vErr.Max != pin {
-			t.Fatalf("pin v%d: rejection reported max v%d", pin, vErr.Max)
-		}
-		if got := reg.Counter(MetricHelloSourceSkipped).Value(); got != 0 {
-			t.Fatalf("pin v%d: downgraded session skipped %d uploads", pin, got)
-		}
-	}
-}
-
-// TestPinnedV2ClientAgainstV3Server is the reverse interop direction: a
-// client pinning the pre-hash-first dialect sends the full source, the v3
-// server serves it — and still writes the bundle back, so even legacy
-// clients warm the store.
-func TestPinnedV2ClientAgainstV3Server(t *testing.T) {
-	dir := t.TempDir()
-	svc, _ := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
-	client, errCh := servicePipe(svc)
-	hello := Hello{Source: sessionSrc, RhoLin: 2, Rho: 2, NoCommitment: true, Version: ProtocolV2}
-	sess, err := NewSession(context.Background(), []net.Conn{client}, hello, ClientOptions{Seed: []byte("v2")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sess.WireVersion(); got != ProtocolV2 {
-		t.Fatalf("negotiated v%d, want v%d", got, ProtocolV2)
-	}
-	res, err := sess.RunBatch(context.Background(), instances(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBatch(t, res, []int64{6})
-	sess.Close()
-	if err := <-errCh; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	svc.FlushStore()
-	if !openStore(t, dir).Contains(store.KeyFor(sessionSrc, "F128", pcp.BackendZaatar)) {
-		t.Fatal("v2 session did not warm the store")
-	}
-}
-
 // TestConcurrentColdCompileSingleflight races hash-first sessions at a
 // storeless cold service: exactly one session is asked to upload and
 // exactly one compile runs; everyone else rides the singleflight entry.
@@ -220,7 +141,7 @@ func TestConcurrentColdCompileSingleflight(t *testing.T) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
 			res, err := runSession(context.Background(), client, hello,
-				ClientOptions{Seed: []byte{byte(i)}, Redial: redialTo(svc)}, instances(int64(i+1)))
+				ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i+1)))
 			if err == nil && !res.AllAccepted() {
 				err = errors.New("batch rejected")
 			}
@@ -257,7 +178,7 @@ func TestConcurrentColdDiskLoadSingleflight(t *testing.T) {
 	seed, _ := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client0, errCh0 := servicePipe(seed)
 	if _, err := runSession(context.Background(), client0, hello,
-		ClientOptions{Seed: []byte("s"), Redial: redialTo(seed)}, instances(3)); err != nil {
+		ClientOptions{Seed: []byte("s")}, instances(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh0; err != nil {
@@ -275,7 +196,7 @@ func TestConcurrentColdDiskLoadSingleflight(t *testing.T) {
 			defer wg.Done()
 			client, errCh := servicePipe(svc)
 			res, err := runSession(context.Background(), client, hello,
-				ClientOptions{Seed: []byte{byte(i)}, Redial: redialTo(svc)}, instances(int64(i+1)))
+				ClientOptions{Seed: []byte{byte(i)}}, instances(int64(i+1)))
 			if err == nil && !res.AllAccepted() {
 				err = errors.New("batch rejected")
 			}
@@ -313,7 +234,7 @@ func TestStoreCorruptBundleRecompiles(t *testing.T) {
 	seed, _ := testService(ServiceOptions{Workers: 2, Store: openStore(t, dir)})
 	client0, errCh0 := servicePipe(seed)
 	if _, err := runSession(context.Background(), client0, hello,
-		ClientOptions{Seed: []byte("s"), Redial: redialTo(seed)}, instances(3)); err != nil {
+		ClientOptions{Seed: []byte("s")}, instances(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh0; err != nil {
@@ -334,7 +255,7 @@ func TestStoreCorruptBundleRecompiles(t *testing.T) {
 	svc, reg := testService(ServiceOptions{Workers: 2, Store: st})
 	client, errCh := servicePipe(svc)
 	res, err := runSession(context.Background(), client, hello,
-		ClientOptions{Seed: []byte("c"), Redial: redialTo(svc)}, instances(9))
+		ClientOptions{Seed: []byte("c")}, instances(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,36 +274,15 @@ func TestStoreCorruptBundleRecompiles(t *testing.T) {
 	}
 }
 
-// TestMaxSourceBytes covers the configurable source bound on both ingestion
-// paths: the plain hello and the v3 source upload.
+// TestMaxSourceBytes covers the configurable source bound on the one
+// ingestion path, the source upload.
 func TestMaxSourceBytes(t *testing.T) {
-	if err := (Hello{Source: sessionSrc, Version: ProtocolV2}).validate(16); !errors.Is(err, ErrSourceTooLarge) {
-		t.Fatalf("validate: %v, want ErrSourceTooLarge", err)
-	}
-	if err := (Hello{Source: sessionSrc, Version: ProtocolV2}).validate(0); err != nil {
-		t.Fatalf("default limit rejected a tiny source: %v", err)
-	}
-
 	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	t.Run("hello", func(t *testing.T) {
-		svc, _ := testService(ServiceOptions{Workers: 1, MaxSourceBytes: 16})
-		client, errCh := servicePipe(svc)
-		h := hello
-		h.Version = ProtocolV2 // full source rides in the hello
-		_, err := runSession(context.Background(), client, h, ClientOptions{}, instances(2))
-		var rErr *RemoteError
-		if !errors.As(err, &rErr) || rErr.Phase != "hello" {
-			t.Fatalf("client err = %v, want hello-phase RemoteError", err)
-		}
-		if err := <-errCh; !errors.Is(err, ErrSourceTooLarge) {
-			t.Fatalf("server err = %v, want ErrSourceTooLarge", err)
-		}
-	})
 	t.Run("upload", func(t *testing.T) {
 		svc, _ := testService(ServiceOptions{Workers: 1, MaxSourceBytes: 16})
 		client, errCh := servicePipe(svc)
 		_, err := runSession(context.Background(), client, hello,
-			ClientOptions{Redial: redialTo(svc)}, instances(2))
+			ClientOptions{}, instances(2))
 		var rErr *RemoteError
 		if !errors.As(err, &rErr) || rErr.Phase != "hello" {
 			t.Fatalf("client err = %v, want hello-phase RemoteError", err)
@@ -393,7 +293,7 @@ func TestMaxSourceBytes(t *testing.T) {
 	})
 }
 
-// TestSourceUploadHashMismatch speaks raw v3 and uploads a source that does
+// TestSourceUploadHashMismatch speaks raw gob and uploads a source that does
 // not match the hello's digest; the server must refuse to compile it.
 func TestSourceUploadHashMismatch(t *testing.T) {
 	svc, _ := testService(ServiceOptions{Workers: 1})
@@ -402,7 +302,7 @@ func TestSourceUploadHashMismatch(t *testing.T) {
 	enc, dec := gob.NewEncoder(client), gob.NewDecoder(client)
 
 	claimed := sha256.Sum256([]byte(sessionSrc))
-	h := Hello{Version: ProtocolV3, SourceHash: claimed[:], RhoLin: 1, Rho: 1, NoCommitment: true}
+	h := Hello{Version: ProtocolVersion, SourceHash: claimed[:], RhoLin: 1, Rho: 1, NoCommitment: true, Backends: []string{pcp.BackendZaatar}}
 	if err := enc.Encode(h); err != nil {
 		t.Fatal(err)
 	}
@@ -424,11 +324,5 @@ func TestSourceUploadHashMismatch(t *testing.T) {
 	}
 	if err := <-errCh; !errors.Is(err, ErrMalformedHello) {
 		t.Fatalf("server err = %v, want ErrMalformedHello", err)
-	}
-
-	// Mismatch inside one hello is caught by validation directly.
-	bad := Hello{Source: sessionSrc, SourceHash: make([]byte, sha256.Size), Version: ProtocolV3}
-	if err := bad.validate(0); !errors.Is(err, ErrMalformedHello) {
-		t.Fatalf("validate: %v, want ErrMalformedHello", err)
 	}
 }

@@ -3,13 +3,10 @@ package transport
 import (
 	"context"
 	"encoding/gob"
-	"fmt"
 	"math/big"
 	"net"
 	"testing"
 
-	"zaatar/internal/compiler"
-	"zaatar/internal/field"
 	"zaatar/internal/obs/trace"
 	"zaatar/internal/pcp"
 	"zaatar/internal/vc"
@@ -116,107 +113,6 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
-// legacyHello and legacyResponsesMsg mirror the message shapes from before
-// trace propagation existed.
-type legacyHello struct {
-	Source       string
-	Field220     bool
-	Ginger       bool
-	RhoLin, Rho  int
-	NoCommitment bool
-}
-
-type legacyResponsesMsg struct {
-	Err   string
-	Items []*vc.Response
-}
-
-// serveLegacy is a prover speaking the pre-tracing wire dialect: it decodes
-// the hello into a struct without the trace fields (gob drops them) and
-// returns responses without the Trace field.
-func serveLegacy(conn net.Conn) error {
-	defer conn.Close()
-	dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-	var h legacyHello
-	if err := dec.Decode(&h); err != nil {
-		return err
-	}
-	prog, err := compiler.Compile(field.F128(), h.Source)
-	if err != nil {
-		return err
-	}
-	cfg := vc.Config{Params: pcp.Params{RhoLin: h.RhoLin, Rho: h.Rho}, NoCommitment: h.NoCommitment, Workers: 1}
-	prover, err := vc.NewProver(prog, cfg)
-	if err != nil {
-		return err
-	}
-	if err := enc.Encode(HelloAck{NumInputs: prog.NumInputs(), NumOutputs: prog.NumOutputs()}); err != nil {
-		return err
-	}
-	var b BatchMsg
-	if err := dec.Decode(&b); err != nil {
-		return err
-	}
-	prover.HandleCommitRequest(b.Req)
-	n := len(b.Instances)
-	states := make([]*vc.InstanceState, n)
-	cms := CommitmentsMsg{Items: make([]*vc.Commitment, n)}
-	for i := range b.Instances {
-		if cms.Items[i], states[i], err = prover.Commit(context.Background(), b.Instances[i]); err != nil {
-			return fmt.Errorf("instance %d: %w", i, err)
-		}
-	}
-	if err := enc.Encode(cms); err != nil {
-		return err
-	}
-	var d DecommitMsg
-	if err := dec.Decode(&d); err != nil {
-		return err
-	}
-	if err := prover.HandleDecommit(d.Req); err != nil {
-		return err
-	}
-	resp := legacyResponsesMsg{Items: make([]*vc.Response, n)}
-	for i := range states {
-		if resp.Items[i], err = prover.Respond(context.Background(), states[i]); err != nil {
-			return fmt.Errorf("instance %d: %w", i, err)
-		}
-	}
-	return enc.Encode(resp)
-}
-
-// TestTraceLegacyPeer checks gob back-compat: a traced client against a
-// prover that predates the trace fields still completes the session, and
-// the client's trace simply contains no prover spans.
-func TestTraceLegacyPeer(t *testing.T) {
-	ctx, tc := tracedContext(t)
-	client, server := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() { errCh <- serveLegacy(server) }()
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true}
-	res, err := runSession(ctx, client, hello, ClientOptions{Seed: []byte("lg")}, [][]*big.Int{{big.NewInt(8)}})
-	client.Close()
-	if serr := <-errCh; serr != nil {
-		t.Fatalf("legacy server: %v", serr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllAccepted() {
-		t.Fatalf("rejected: %v", res.Reasons)
-	}
-	recs := tc.Recorder().Snapshot()
-	checkNoOrphans(t, recs)
-	if len(recs) == 0 {
-		t.Fatal("verifier recorded no spans")
-	}
-	for _, r := range recs {
-		if r.Proc != "verifier" {
-			t.Fatalf("unexpected %q span from %q — a legacy peer cannot contribute spans", r.Name, r.Proc)
-		}
-	}
-}
-
 // TestTraceDisconnectNoOrphans drops the connection mid-session (after the
 // commitments, before the responses) and checks the client's trace is still
 // a closed tree: the error paths end every started span via defer, and no
@@ -229,12 +125,7 @@ func TestTraceDisconnectNoOrphans(t *testing.T) {
 		defer close(done)
 		defer server.Close()
 		dec, enc := gob.NewDecoder(server), gob.NewEncoder(server)
-		var h Hello
-		if err := dec.Decode(&h); err != nil {
-			t.Error(err)
-			return
-		}
-		prog, err := compiler.Compile(field.F128(), h.Source)
+		h, prog, err := serveHello(dec, enc)
 		if err != nil {
 			t.Error(err)
 			return
@@ -242,10 +133,6 @@ func TestTraceDisconnectNoOrphans(t *testing.T) {
 		cfg := vc.Config{Params: pcp.Params{RhoLin: h.RhoLin, Rho: h.Rho}, NoCommitment: true, Workers: 1}
 		prover, err := vc.NewProver(prog, cfg)
 		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := enc.Encode(HelloAck{NumInputs: prog.NumInputs(), NumOutputs: prog.NumOutputs()}); err != nil {
 			t.Error(err)
 			return
 		}

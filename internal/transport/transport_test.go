@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"math/big"
 	"net"
@@ -9,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"zaatar/internal/compiler"
 	"zaatar/internal/elgamal"
 	"zaatar/internal/field"
 	"zaatar/internal/obs"
+	"zaatar/internal/pcp"
 	"zaatar/internal/prg"
 	"zaatar/internal/vc"
 )
@@ -32,6 +35,49 @@ func runSession(ctx context.Context, conn net.Conn, hello Hello, opts ClientOpti
 	}
 	defer sess.Close()
 	return sess.RunBatch(ctx, batch)
+}
+
+// openRaw speaks the client half of the opening exchange by hand: the
+// hello's wire copy, the source upload when the server asks, and the
+// definitive ack.
+func openRaw(cc *timedCodec, h Hello) (HelloAck, error) {
+	var ack HelloAck
+	if err := cc.send(h.wire()); err != nil {
+		return ack, err
+	}
+	if err := cc.recv(&ack); err != nil || !ack.SourceNeeded {
+		return ack, err
+	}
+	if err := cc.send(SourceMsg{Source: h.Source}); err != nil {
+		return ack, err
+	}
+	ack = HelloAck{}
+	err := cc.recv(&ack)
+	return ack, err
+}
+
+// serveHello is the prover half of the opening exchange for hand-rolled
+// test provers that cache nothing: take the hello, ask for the source,
+// compile it, and ack with the first offered backend.
+func serveHello(dec *gob.Decoder, enc *gob.Encoder) (Hello, *compiler.Program, error) {
+	var h Hello
+	if err := dec.Decode(&h); err != nil {
+		return h, nil, err
+	}
+	if err := enc.Encode(HelloAck{SourceNeeded: true, Version: ProtocolVersion}); err != nil {
+		return h, nil, err
+	}
+	var src SourceMsg
+	if err := dec.Decode(&src); err != nil {
+		return h, nil, err
+	}
+	h.Source = src.Source
+	prog, err := compiler.Compile(h.fieldOf(), h.Source)
+	if err != nil {
+		return h, nil, err
+	}
+	ack := HelloAck{NumInputs: prog.NumInputs(), NumOutputs: prog.NumOutputs(), Version: ProtocolVersion, Backend: h.Backends[0]}
+	return h, prog, enc.Encode(ack)
 }
 
 func runPipeSession(t *testing.T, hello Hello, opts ClientOptions, batch [][]*big.Int) (*SessionResult, error) {
@@ -83,7 +129,7 @@ func TestSessionWithCrypto(t *testing.T) {
 }
 
 func TestSessionGinger(t *testing.T) {
-	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true, Ginger: true}
+	hello := Hello{Source: sessionSrc, RhoLin: 1, Rho: 1, NoCommitment: true, Backends: []string{pcp.BackendGinger}}
 	res, err := runPipeSession(t, hello, ClientOptions{Seed: []byte("g")}, [][]*big.Int{{big.NewInt(6)}})
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +172,8 @@ func TestSessionBadProgram(t *testing.T) {
 	serverErr := make(chan error, 1)
 	go func() { serverErr <- ServeConn(context.Background(), server, ServerOptions{}) }()
 	cc := newTimedCodec(client, 5*time.Second)
-	if err := cc.send(hello); err != nil {
-		t.Fatal(err)
-	}
-	var ack HelloAck
-	if err := cc.recv(&ack); err != nil {
+	ack, err := openRaw(cc, hello)
+	if err != nil {
 		t.Fatal(err)
 	}
 	client.Close()
@@ -184,11 +227,8 @@ func TestSessionMalformedHello(t *testing.T) {
 			serverErr := make(chan error, 1)
 			go func() { serverErr <- ServeConn(context.Background(), server, ServerOptions{}) }()
 			cc := newTimedCodec(client, time.Second)
-			if err := cc.send(tc.hello); err != nil {
-				t.Fatal(err)
-			}
-			var ack HelloAck
-			if err := cc.recv(&ack); err != nil {
+			ack, err := openRaw(cc, tc.hello)
+			if err != nil {
 				t.Fatal(err)
 			}
 			client.Close()
@@ -215,11 +255,7 @@ func TestServerSurvivesMidSessionDisconnect(t *testing.T) {
 	// Speak the first half of the protocol by hand, then hang up after
 	// receiving the commitments (the server is now blocked on the decommit).
 	cc := newTimedCodec(client, 5*time.Second)
-	if err := cc.send(hello); err != nil {
-		t.Fatal(err)
-	}
-	var ack HelloAck
-	if err := cc.recv(&ack); err != nil || ack.Err != "" {
+	if ack, err := openRaw(cc, hello); err != nil || ack.Err != "" {
 		t.Fatalf("hello failed: %v %q", err, ack.Err)
 	}
 	if err := cc.send(BatchMsg{Req: &vc.CommitRequest{}, Instances: [][]*big.Int{{big.NewInt(4)}}}); err != nil {

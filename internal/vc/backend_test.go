@@ -163,16 +163,13 @@ func TestSumcheckCheatingProverRejected(t *testing.T) {
 	t.Logf("rejected with: %s", reason)
 }
 
-// TestBackendNameFallback: Config.Backend empty falls back to the legacy
-// Protocol enum, and an unknown name errors cleanly.
+// TestBackendNameFallback: Config.Backend empty falls back to zaatar, and
+// an unknown name errors cleanly.
 func TestBackendNameFallback(t *testing.T) {
-	if got := (Config{Protocol: Ginger}).BackendName(); got != pcp.BackendGinger {
-		t.Errorf("BackendName = %q, want ginger", got)
-	}
 	if got := (Config{}).BackendName(); got != pcp.BackendZaatar {
 		t.Errorf("BackendName = %q, want zaatar", got)
 	}
-	if got := (Config{Protocol: Ginger, Backend: pcp.BackendSumcheck}).BackendName(); got != pcp.BackendSumcheck {
+	if got := (Config{Backend: pcp.BackendSumcheck}).BackendName(); got != pcp.BackendSumcheck {
 		t.Errorf("BackendName = %q, want sumcheck", got)
 	}
 	prog, err := compiler.Compile(field.F128(), arithSrc)

@@ -95,18 +95,6 @@ func (r *BatchResult) AllAccepted() bool {
 	return len(r.Accepted) > 0
 }
 
-// ProverWall is a compatibility accessor for Metrics.ProverWall, the
-// wall-clock time of the prover's phases for the whole batch.
-func (r *BatchResult) ProverWall() time.Duration { return r.Metrics.ProverWall }
-
-// VerifierSetup is a compatibility accessor for Metrics.Setup, the
-// amortized query/key construction time.
-func (r *BatchResult) VerifierSetup() time.Duration { return r.Metrics.Setup }
-
-// VerifierPerInstance is a compatibility accessor for Metrics.VerifyTotal,
-// the total per-instance verification time across the batch.
-func (r *BatchResult) VerifierPerInstance() time.Duration { return r.Metrics.VerifyTotal }
-
 // testHookAfterCommit, nil outside tests, runs after each instance's
 // commitment is produced by a LocalProver (and may tamper with it).
 var testHookAfterCommit func(i int, cm *Commitment)

@@ -10,6 +10,7 @@ import (
 
 	"zaatar/internal/obs"
 	"zaatar/internal/par"
+	"zaatar/internal/pcp"
 )
 
 // Regression test for the old parallelFor, which kept dispatching every
@@ -102,7 +103,7 @@ func TestForEachCompletesAll(t *testing.T) {
 }
 
 func TestRunBatchCancelMidBatch(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, true)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, true)
 	cfg.Workers = 2
 	const beta = 16
 	batch := make([][]*big.Int, beta)
@@ -130,7 +131,7 @@ func TestRunBatchCancelMidBatch(t *testing.T) {
 }
 
 func TestRunBatchPreCancelled(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, true)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := RunBatch(ctx, prog, cfg, [][]*big.Int{inputsFor(1, 2, 3, 4)}); !errors.Is(err, context.Canceled) {
@@ -142,7 +143,7 @@ func TestRunBatchPreCancelled(t *testing.T) {
 // make exactly the decisions of the serial reference path — including
 // rejections, injected here by tampering with some commitments.
 func TestPipelineMatchesSerial(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	const beta = 8
 	batch := make([][]*big.Int, beta)
 	for i := range batch {
@@ -201,7 +202,7 @@ func (e barrierEndpoint) Respond(ctx context.Context, dreq *DecommitRequest, emi
 // The soundness barrier: the decommit (query seed reveal) must reach the
 // prover only after every instance's commitment, at any worker count.
 func TestDecommitBarrierAfterAllCommitments(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	cfg.Workers = 4
 	const beta = 8
 	batch := make([][]*big.Int, beta)
@@ -241,7 +242,7 @@ func TestDecommitBarrierAfterAllCommitments(t *testing.T) {
 // RunBatch must record its counters and phase spans into the configured
 // registry.
 func TestRunBatchObservability(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, true)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, true)
 	cfg.Workers = 2
 	cfg.Obs = obs.NewRegistry()
 	tampered := map[int]bool{0: true}

@@ -106,14 +106,6 @@ func PreprocessBackend(prog *compiler.Program, backend string) (*Precomputation,
 	return &Precomputation{Backend: bk.Name(), bk: bk, pre: pre}, nil
 }
 
-// Preprocess builds the prover-side precomputation for a program under the
-// given protocol.
-//
-// Deprecated: use PreprocessBackend with a backend name.
-func Preprocess(prog *compiler.Program, protocol Protocol) (*Precomputation, error) {
-	return PreprocessBackend(prog, protocol.String())
-}
-
 // NewProver prepares the prover for a computation.
 func NewProver(prog *compiler.Program, cfg Config) (*Prover, error) {
 	return NewProverPre(prog, cfg, nil)
@@ -317,16 +309,14 @@ type LocalProver struct {
 	states []*InstanceState
 }
 
-// Commit installs req (a nil req keeps the previous round's request) and
-// commits every instance.
+// Commit installs req — every round brings its own — and commits every
+// instance.
 func (e *LocalProver) Commit(ctx context.Context, req *CommitRequest, instances [][]*big.Int) ([]*Commitment, error) {
 	workers := max(e.Workers, 1)
 	commitTr, commitCtx := trace.Child(ctx, "vc.commit")
 	defer commitTr.End()
-	if req != nil {
-		if err := e.Prover.HandleCommitRequest(req); err != nil {
-			return nil, err
-		}
+	if err := e.Prover.HandleCommitRequest(req); err != nil {
+		return nil, err
 	}
 	// Small batches can't fill the pool with instance-level parallelism
 	// alone; give each Commit's inner kernel the leftover workers.

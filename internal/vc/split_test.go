@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zaatar/internal/compiler"
+	"zaatar/internal/pcp"
 )
 
 // commitInstance runs one prover over req and returns its commitment and
@@ -37,7 +38,7 @@ type programConfig struct {
 // single prover's bit for bit, and verification must accept it against
 // either prover's responses.
 func TestSplitCombineMatchesSingleProver(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	pc := &programConfig{prog: prog, cfg: cfg}
 	inputs := inputsFor(3, -1, 4, 2)
 
@@ -88,7 +89,7 @@ func TestSplitCombineMatchesSingleProver(t *testing.T) {
 // TestSplitSharesCoverEachIndexOnce checks the share geometry: every oracle
 // position is live in exactly one share.
 func TestSplitSharesCoverEachIndexOnce(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	v, err := NewVerifier(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestSplitSharesCoverEachIndexOnce(t *testing.T) {
 // TestCombineRejectsDisagreeingOutputs: cooperating provers must claim the
 // same outputs; a mismatch is a protocol failure, not a silent pick.
 func TestCombineRejectsDisagreeingOutputs(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	pc := &programConfig{prog: prog, cfg: cfg}
 	v, err := NewVerifier(prog, cfg)
 	if err != nil {

@@ -28,7 +28,7 @@ for i = 0 to N-1 {
 }
 `
 
-func testSetup(t *testing.T, protocol Protocol, noCommit bool) (*compiler.Program, Config) {
+func testSetup(t *testing.T, backend string, noCommit bool) (*compiler.Program, Config) {
 	t.Helper()
 	f := field.FTest()
 	prog, err := compiler.Compile(f, testSrc)
@@ -36,7 +36,7 @@ func testSetup(t *testing.T, protocol Protocol, noCommit bool) (*compiler.Progra
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Protocol:     protocol,
+		Backend:      backend,
 		Params:       pcp.TestParams(),
 		NoCommitment: noCommit,
 		Seed:         []byte("vc-test-seed"),
@@ -60,7 +60,7 @@ func inputsFor(vals ...int64) []*big.Int {
 }
 
 func TestEndToEndZaatarWithCrypto(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	batch := [][]*big.Int{
 		inputsFor(1, 2, 3, 4),
 		inputsFor(-5, 0, 5, 2),
@@ -83,7 +83,7 @@ func TestEndToEndZaatarWithCrypto(t *testing.T) {
 }
 
 func TestEndToEndGingerWithCrypto(t *testing.T) {
-	prog, cfg := testSetup(t, Ginger, false)
+	prog, cfg := testSetup(t, pcp.BackendGinger, false)
 	res, err := RunBatch(context.Background(), prog, cfg, [][]*big.Int{inputsFor(1, 2, 3, 4), inputsFor(0, -1, -2, -3)})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestEndToEndGingerWithCrypto(t *testing.T) {
 }
 
 func TestEndToEndNoCommitment(t *testing.T) {
-	for _, proto := range []Protocol{Zaatar, Ginger} {
+	for _, proto := range []string{pcp.BackendZaatar, pcp.BackendGinger} {
 		prog, cfg := testSetup(t, proto, true)
 		res, err := RunBatch(context.Background(), prog, cfg, [][]*big.Int{inputsFor(3, 1, 4, 1)})
 		if err != nil {
@@ -107,7 +107,7 @@ func TestEndToEndNoCommitment(t *testing.T) {
 }
 
 func TestParallelWorkersMatchSerial(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	batch := make([][]*big.Int, 8)
 	for i := range batch {
 		batch[i] = inputsFor(int64(i), int64(i+1), int64(-i), 3)
@@ -135,7 +135,7 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 // different instance.
 func TestCheatingOutputRejected(t *testing.T) {
 	for _, noCommit := range []bool{false, true} {
-		prog, cfg := testSetup(t, Zaatar, noCommit)
+		prog, cfg := testSetup(t, pcp.BackendZaatar, noCommit)
 		verifier, err := NewVerifier(prog, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +171,7 @@ func TestCheatingOutputRejected(t *testing.T) {
 func TestTamperedResponseRejectedByConsistency(t *testing.T) {
 	// With commitment on, even a tampered response that would satisfy the
 	// PCP tests (we tamper t answers) is caught by the consistency test.
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	verifier, _ := NewVerifier(prog, cfg)
 	prover, _ := NewProver(prog, cfg)
 	prover.HandleCommitRequest(verifier.Setup())
@@ -190,7 +190,7 @@ func TestTamperedResponseRejectedByConsistency(t *testing.T) {
 }
 
 func TestPhaseViolations(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, true)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, true)
 	prover, _ := NewProver(prog, cfg)
 	if _, _, err := prover.Commit(context.Background(), inputsFor(1, 2, 3, 4)); err == nil {
 		t.Error("Commit before HandleCommitRequest accepted")
@@ -211,7 +211,7 @@ func TestPhaseViolations(t *testing.T) {
 // key, and broken or mismatched group parameters. Each must surface as an
 // error — never a panic — and leave the prover with no open batch.
 func TestHandleCommitRequestRejectsMalformed(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	v, err := NewVerifier(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestHandleCommitRequestRejectsMalformed(t *testing.T) {
 }
 
 func TestEmptyBatchRejected(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, true)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, true)
 	if _, err := RunBatch(context.Background(), prog, cfg, nil); err == nil {
 		t.Error("empty batch accepted")
 	}
@@ -294,7 +294,7 @@ func TestMissingGroupError(t *testing.T) {
 }
 
 func TestProofVectorLen(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, true)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, true)
 	v, err := NewVerifier(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestProofVectorLen(t *testing.T) {
 		t.Errorf("ProofVectorLen = %d, want %d", got, st.UZaatar+1)
 	}
 
-	progG, cfgG := testSetup(t, Ginger, true)
+	progG, cfgG := testSetup(t, pcp.BackendGinger, true)
 	vg, err := NewVerifier(progG, cfgG)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestProofVectorLen(t *testing.T) {
 }
 
 func TestTimingInstrumentation(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	res, err := RunBatch(context.Background(), prog, cfg, [][]*big.Int{inputsFor(1, 2, 3, 4)})
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestTimingInstrumentation(t *testing.T) {
 	if pt.Crypto <= 0 {
 		t.Error("crypto phase timing not recorded with commitment enabled")
 	}
-	if res.VerifierSetup() <= 0 || res.VerifierPerInstance() <= 0 {
+	if res.Metrics.Setup <= 0 || res.Metrics.VerifyTotal <= 0 {
 		t.Error("verifier timings not recorded")
 	}
 	m := res.Metrics
@@ -346,7 +346,7 @@ func TestTimingInstrumentation(t *testing.T) {
 // Two verifiers built from the identical fixed-seed Config must agree on
 // the queries but differ in key material and consistency points.
 func TestSecretsIndependentOfSeed(t *testing.T) {
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	va, err := NewVerifier(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +388,7 @@ func TestSecretsIndependentOfSeed(t *testing.T) {
 // protocol must still verify end-to-end with the fresh key.
 func TestReseedRekeysAndVerifies(t *testing.T) {
 	ctx := context.Background()
-	prog, cfg := testSetup(t, Zaatar, false)
+	prog, cfg := testSetup(t, pcp.BackendZaatar, false)
 	v, err := NewVerifier(prog, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -86,23 +86,14 @@ func WithServerMetrics(r *obs.Registry) ServerOption {
 	return func(o *serverOptions) { o.svc.Obs = r }
 }
 
-// WithServerLogf installs a logger receiving one line per failed session
-// from the accept loop (e.g. log.Printf). By default failures are silent.
-//
-// Deprecated: use WithServerLogger, whose structured records carry the
-// session id, backend, program hash, and trace correlation. WithServerLogf
-// keeps working (the two compose) but receives only the accept-loop lines.
-func WithServerLogf(logf func(format string, args ...any)) ServerOption {
-	return func(o *serverOptions) { o.svc.Logf = logf }
-}
-
 // WithServerLogger installs a structured logger on the service: one record
 // per session event (negotiation, each batch served, session close)
 // carrying the session id, negotiated backend, program hash, and — when the
 // client's hello carries a trace — trace_id/span_id fields joinable against
-// the exported Perfetto trace. Composes with WithServerLogf, which keeps
-// receiving the accept-loop failure lines. By default the service emits no
-// structured records.
+// the exported Perfetto trace — plus a warning per connection refused at
+// the MaxConns cap and per damaged or unwritable store bundle. Failed
+// sessions log at error level, so a logger filtered to warnings and above
+// sees only faults. By default the service is silent.
 func WithServerLogger(l *slog.Logger) ServerOption {
 	return func(o *serverOptions) { o.svc.Logger = l }
 }
@@ -111,8 +102,8 @@ func WithServerLogger(l *slog.Logger) ServerOption {
 // precomputations) as content-addressed bundles under dir, keyed by
 // source, field, and backend. A restarted server reloads a known program
 // from disk instead of recompiling it, so a warm restart serves its first
-// session without paying compilation or preprocessing; together with the
-// v3 hash-first hello, repeat clients then also skip uploading the
+// session without paying compilation or preprocessing; since clients name
+// their program by hash, repeat clients then also skip uploading the
 // source. The directory is created if missing; a corrupt or
 // version-skewed bundle is treated as a cache miss (the program is
 // recompiled and the bundle rewritten), never a failure. Disk traffic is
@@ -121,9 +112,8 @@ func WithStore(dir string) ServerOption {
 	return func(o *serverOptions) { o.storeDir = dir }
 }
 
-// WithMaxSourceBytes bounds the program source a client may submit, in
-// bytes, whether it arrives inline in the hello or as a v3 upload.
-// Oversized sessions fail with a hello-phase error the client sees as a
+// WithMaxSourceBytes bounds the program source a client may upload, in
+// bytes. Oversized sessions fail with a hello-phase error the client sees as a
 // RemoteError. Defaults to 1 MiB.
 func WithMaxSourceBytes(n int) ServerOption {
 	return func(o *serverOptions) { o.svc.MaxSourceBytes = n }
@@ -141,14 +131,13 @@ func WithSLOWindow(d time.Duration) ServerOption {
 // Compiled programs are cached across sessions in an LRU keyed by source,
 // field, and protocol — a repeat session for the same program skips
 // compilation — and a bounded admission semaphore shares the kernel pool
-// fairly among concurrent sessions. The service speaks wire protocol v3
-// (hash-first hellos: a client names its program by digest and uploads the
-// source only when the server holds neither a cached nor a stored copy) on
-// top of v2 session keep-alive (many batches per connection, reusing the
-// program; each batch carries its own commitment key, which soundness
-// keeps per-batch), and transparently falls back to v2 or v1 for old
-// peers. With WithStore, compiled programs additionally persist across
-// server restarts.
+// fairly among concurrent sessions. The service speaks wire protocol 3:
+// a client names its program by digest and uploads the source only when
+// the server holds neither a cached nor a stored copy, then pushes any
+// number of batches over the connection, reusing the program (each batch
+// carries its own commitment key, which soundness keeps per-batch). A
+// hello in any other dialect is refused. With WithStore, compiled programs
+// additionally persist across server restarts.
 func Serve(ctx context.Context, ln net.Listener, opts ...ServerOption) error {
 	var o serverOptions
 	for _, fn := range opts {

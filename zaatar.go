@@ -27,8 +27,8 @@
 // Run drives a whole batch in-process. For a real deployment split the two
 // ends over the network: Serve runs a long-lived multi-tenant prover
 // service on a listener, and Dial connects a verifier-side Client that can
-// push many batches over one kept-alive connection (wire protocol v2, with
-// automatic fallback for v1 peers). cmd/zaatar-server and cmd/zaatar-client
+// push many batches over one kept-alive connection, naming its program by
+// hash so a warm server never receives the source. cmd/zaatar-server and cmd/zaatar-client
 // are thin wrappers over exactly these two calls. Lower still, NewVerifier
 // and NewProver expose the raw phases, moving the exported message types
 // (CommitRequest, Commitment, DecommitRequest, Response) across any
@@ -153,21 +153,13 @@ func WithField220() Option {
 	return bothOption(func(o *options) { o.field = field.F220(); o.fieldSet = true })
 }
 
-// WithGingerProtocol selects the baseline quadratic proof encoding instead
-// of the QAP-based one — useful only for comparison; it is restricted to
-// small computations because the proof vector is |Z|².
-//
-// Deprecated: use WithBackend(BackendGinger). Retained for compatibility;
-// WithBackend takes precedence when both are given.
-func WithGingerProtocol() RunOption {
-	return runOption(func(o *options) { o.cfg.Protocol = vc.Ginger })
-}
-
 // Backend names accepted by WithBackend (besides BackendAuto).
 const (
 	// BackendZaatar is the QAP-based linear proof encoding (the default).
 	BackendZaatar = pcp.BackendZaatar
-	// BackendGinger is the quadratic baseline encoding.
+	// BackendGinger is the quadratic baseline encoding — useful for
+	// comparison only, and restricted to small computations because its
+	// proof vector is |Z|².
 	BackendGinger = pcp.BackendGinger
 	// BackendSumcheck is the sum-check/GKR lane for layered circuits: no
 	// commitment cryptography, so the prover runs orders of magnitude
@@ -304,37 +296,12 @@ func NewProver(prog *Program, opts ...RunOption) (*Prover, error) {
 }
 
 // resolveBackend replaces the BackendAuto placeholder with the cost model's
-// pick for this program; concrete names (and the legacy Protocol field) pass
-// through untouched for vc to validate.
+// pick for this program; concrete names pass through untouched for vc to
+// validate.
 func resolveBackend(prog *Program, o *options) {
 	if o.cfg.Backend == BackendAuto {
 		o.cfg.Backend = RecommendBackend(prog)
 	}
-}
-
-// Protocol identifies a proof encoding; see the vc package constants
-// re-exported here.
-type Protocol = vc.Protocol
-
-// Protocol values.
-const (
-	// ProtocolZaatar is the QAP-based linear encoding (the default).
-	ProtocolZaatar = vc.Zaatar
-	// ProtocolGinger is the quadratic baseline encoding.
-	ProtocolGinger = vc.Ginger
-)
-
-// RecommendProtocol picks the encoding with the smaller proof vector for a
-// compiled program — §4's observation that the (rare, degenerate) cases
-// where Ginger wins are detectable at compile time. Compiler-produced
-// programs always recommend Zaatar; the degenerate cases arise only for
-// hand-written constraint systems with dense degree-2 forms.
-//
-// Deprecated: use RecommendBackend, which additionally considers the
-// sum-check lane and returns a backend name WithBackend accepts directly.
-// Behavior is unchanged for the two legacy encodings.
-func RecommendProtocol(prog *Program) Protocol {
-	return vc.RecommendProtocol(prog.Ginger, prog.Quad)
 }
 
 // RecommendBackend picks the cheapest proof backend for a compiled program:
